@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cherncalc import (
     ChernVector,
@@ -32,21 +33,24 @@ from .cherncalc import (
 )
 from .errors import GsvkitError, PolynomialSyntaxError, UnknownVariableError
 from .indices import (
-    CurveGerm,
+    germ_ideals,
+    greuel_tjurina,
     gsv_bounds_nondegenerate,
     gsv_from_rho,
+    ideal_dimensions,
     milnor_curve,
+    milnor_from_chain,
     published_bound_table,
     nondegenerate_bound_constants,
 )
-from .localring import IdealGens, quotient_dim_macaulay
-from .poly import Polynomial, jacobian_minors, parse_polynomial
+from .localring import quotient_dim_macaulay
+from .poly import Polynomial, parse_polynomial
 from .projective import (
     PointOnChart,
     ProjectiveCI,
     ProjectiveFoliation,
     closed_form_gsv,
-    dehomogenize_ci,
+    curve_germ_at,
     euler_characteristic_curve,
     germ_at_point,
     poincare_degree_bound,
@@ -56,9 +60,6 @@ from .projective import (
     total_gsv_certified,
     total_indices_certified,
 )
-
-MODES = ("local-gsv", "total-gsv", "bounds", "poincare", "chern-check",
-         "tjurina", "milnor", "schwartz", "euler")
 
 BIGINT_THRESHOLD = 2 ** 53
 
@@ -368,34 +369,17 @@ def _local_report_dict(point: PointOnChart, report) -> dict:
     return out
 
 
-def _curve_germ_at(job: JobSpec, point: PointOnChart) -> CurveGerm:
-    affine = dehomogenize_ci(job.curve, point.chart)
-    for i, f in enumerate(affine):
-        if f.evaluate(point.coords):
-            raise JobFileError(
-                f"[points] point: equation {i + 1} does not vanish at "
-                f"chart {point.chart} point {[str(c) for c in point.coords]}")
-    germ = CurveGerm(tuple(f.translate(point.coords) for f in affine))
-    if job.milnor_order is not None:
-        germ = CurveGerm(tuple(germ.equations[i] for i in job.milnor_order))
-    return germ
-
-
-def _oracle_dims_for_point(job: JobSpec, point: PointOnChart,
-                           want_field: bool) -> dict:
-    """Recompute the point's quotient dimensions with the Macaulay oracle."""
-    out = {}
-    germ = _curve_germ_at(job, point)
-    eqs = list(germ.equations)
-    tau_gens = tuple(g for g in eqs + jacobian_minors(eqs) if not g.is_zero())
-    out["tau"] = quotient_dim_macaulay(IdealGens(tau_gens))
-    if want_field:
-        _, field = germ_at_point(job.foliation, job.curve, point)
-        comps = tuple(a for a in field.components if not a.is_zero())
-        out["dim_v"] = quotient_dim_macaulay(IdealGens(comps))
-        out["dim_vf"] = quotient_dim_macaulay(
-            IdealGens(comps + tuple(eqs)))
-    return out
+def _oracle_info(checks, anomalies) -> dict:
+    """The report's oracle entry from (point, staircase value, Macaulay
+    value, ideals recomputed) per point; disagreements become anomalies."""
+    disagreements = [
+        f"oracle disagreement at chart {point.chart} point "
+        f"{[str(c) for c in point.coords]}: staircase {staircase} vs "
+        f"Macaulay {macaulay}"
+        for point, staircase, macaulay, _ in checks if staircase != macaulay]
+    anomalies.extend(disagreements)
+    return {"agreement": not disagreements,
+            "dimensions_checked": sum(count for *_, count in checks)}
 
 
 def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
@@ -403,9 +387,10 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
     _need(job.curve is not None, "[curve] equations: required")
     _need(bool(job.points), "[points] point: at least one point is required")
     anomalies = []
+    order = job.milnor_order if full else None
     if full:
         report = total_indices_certified(job.foliation, job.curve, job.points,
-                                         equation_order=job.milnor_order)
+                                         equation_order=order)
     else:
         report = total_gsv_certified(job.foliation, job.curve, job.points)
     results: dict = {
@@ -427,61 +412,42 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
         anomalies.extend(rep.anomalies)
     oracle_info = None
     if oracle:
-        checked = 0
+        checks = []
         for point, rep in zip(job.points, report.per_point):
-            dims = _oracle_dims_for_point(job, point, want_field=True)
-            checked += len(dims)
-            if (dims["tau"] != rep.tau or dims["dim_v"] != rep.dim_v
-                    or dims["dim_vf"] != rep.dim_vf):
-                anomalies.append(
-                    f"oracle disagreement at chart {point.chart} point "
-                    f"{[str(c) for c in point.coords]}: staircase "
-                    f"({rep.tau}, {rep.dim_v}, {rep.dim_vf}) vs Macaulay "
-                    f"({dims['tau']}, {dims['dim_v']}, {dims['dim_vf']})")
-        oracle_info = {"agreement": not anomalies, "dimensions_checked": checked}
+            ideals = germ_ideals(*germ_at_point(job.foliation, job.curve,
+                                                point, order))
+            dims = ideal_dimensions(ideals, quotient_dim_macaulay)
+            checks.append((point, (rep.tau, rep.dim_v, rep.dim_vf),
+                           (dims["tau"], dims["dim_v"], dims["dim_vf"]),
+                           len(dims)))
+        oracle_info = _oracle_info(checks, anomalies)
     return results, anomalies, oracle_info
 
 
 def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
     _need(job.curve is not None, "[curve] equations: required")
     _need(bool(job.points), "[points] point: at least one point is required")
+    tjurina = which == "tjurina"
+    invariant = greuel_tjurina if tjurina else milnor_curve
+    germs = [curve_germ_at(job.curve, point, job.milnor_order)
+             for point in job.points]
+    values = [invariant(germ) for germ in germs]
+    results = {
+        "per_point": values,
+        "per_point_detail": [{"point": _point_echo(point), which: value}
+                             for point, value in zip(job.points, values)],
+    }
     anomalies: list[str] = []
-    values = []
-    detail = []
-    for point in job.points:
-        germ = _curve_germ_at(job, point)
-        if which == "tjurina":
-            from .indices import greuel_tjurina
-            value = greuel_tjurina(germ)
-        else:
-            value = milnor_curve(germ)
-        values.append(value)
-        detail.append({"point": _point_echo(point), which: value})
-    results = {"per_point": values, "per_point_detail": detail}
     oracle_info = None
     if oracle:
-        checked = 0
-        for point, value in zip(job.points, values):
-            germ = _curve_germ_at(job, point)
-            eqs = list(germ.equations)
-            if which == "tjurina":
-                gens = tuple(g for g in eqs + jacobian_minors(eqs)
-                             if not g.is_zero())
-                redone = quotient_dim_macaulay(IdealGens(gens))
-                checked += 1
-            else:
-                redone = 0
-                for k in range(1, len(eqs) + 1):
-                    gens = tuple(
-                        g for g in eqs[:k - 1] + jacobian_minors(eqs[:k])
-                        if not g.is_zero())
-                    redone = quotient_dim_macaulay(IdealGens(gens)) - redone
-                    checked += 1
-            if redone != value:
-                anomalies.append(
-                    f"oracle disagreement at chart {point.chart}: staircase "
-                    f"{value} vs Macaulay {redone}")
-        oracle_info = {"agreement": not anomalies, "dimensions_checked": checked}
+        checks = []
+        for point, germ, value in zip(job.points, germs, values):
+            dims = ideal_dimensions(
+                germ_ideals(germ, tau=tjurina, chain=not tjurina),
+                quotient_dim_macaulay)
+            redone = dims["tau"] if tjurina else milnor_from_chain(dims)
+            checks.append((point, value, redone, len(dims)))
+        oracle_info = _oracle_info(checks, anomalies)
     return results, anomalies, oracle_info
 
 
@@ -630,34 +596,24 @@ def _run_euler(job: JobSpec, oracle: bool):
     return results, anomalies, oracle_info
 
 
+_RUNNERS = {
+    "local-gsv": partial(_run_total_or_local, full=False, total=False),
+    "total-gsv": partial(_run_total_or_local, full=False, total=True),
+    "bounds": lambda job, oracle: _run_bounds(job),
+    "poincare": lambda job, oracle: _run_poincare(job),
+    "chern-check": lambda job, oracle: _run_chern_check(job),
+    "tjurina": partial(_run_germ_invariant, which="tjurina"),
+    "milnor": partial(_run_germ_invariant, which="milnor"),
+    "schwartz": partial(_run_total_or_local, full=True, total=True),
+    "euler": _run_euler,
+}
+MODES = tuple(_RUNNERS)
+
+
 def run_job(job: JobSpec, oracle: bool = False):
     """Dispatch a validated job; returns (report dict, exit code)."""
     start = time.perf_counter()
-    if job.mode == "total-gsv":
-        results, anomalies, oracle_info = _run_total_or_local(
-            job, oracle, full=False, total=True)
-    elif job.mode == "local-gsv":
-        results, anomalies, oracle_info = _run_total_or_local(
-            job, oracle, full=False, total=False)
-    elif job.mode == "schwartz":
-        results, anomalies, oracle_info = _run_total_or_local(
-            job, oracle, full=True, total=True)
-    elif job.mode == "euler":
-        results, anomalies, oracle_info = _run_euler(job, oracle)
-    elif job.mode == "tjurina":
-        results, anomalies, oracle_info = _run_germ_invariant(
-            job, oracle, "tjurina")
-    elif job.mode == "milnor":
-        results, anomalies, oracle_info = _run_germ_invariant(
-            job, oracle, "milnor")
-    elif job.mode == "bounds":
-        results, anomalies, oracle_info = _run_bounds(job)
-    elif job.mode == "poincare":
-        results, anomalies, oracle_info = _run_poincare(job)
-    elif job.mode == "chern-check":
-        results, anomalies, oracle_info = _run_chern_check(job)
-    else:  # unreachable: load_job validates the mode
-        raise JobFileError(f"unknown mode {job.mode!r}")
+    results, anomalies, oracle_info = _RUNNERS[job.mode](job, oracle)
     report = {
         "mode": job.mode,
         "inputs": _echo_inputs(job),

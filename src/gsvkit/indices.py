@@ -9,9 +9,20 @@ invariant under a vector field v are:
   gsv      -tau + dim O/<v, f>
   schwartz gsv + mu
 
-plus the nondegenerate-singularity apparatus: the integer constants
-eps_r and alpha, the two-sided bound interval for the index, and the
-parity-split closed form in the auxiliary integer rho.
+All of them come from colengths of the labelled ideals of ``germ_ideals``,
+the one catalogue that ``ideal_dimensions`` maps a dimension function
+over: the staircase ``quotient_dim`` here, ``quotient_dim_macaulay`` for
+the CLI's --oracle, so both see the same ideals with the same generators.
+
+  "tau"     <f, maximal minors of Jac(f)>
+  "dim_v"   <v>
+  "dim_vf"  <v, f>
+  k         <f_1..f_{k-1}, maximal minors of Jac(f_1..f_k)>, Le-Greuel
+            chain step k = 1..r; mu = d_r - d_{r-1} + ... +- d_1
+
+The module also holds the nondegenerate-singularity apparatus: the
+integer constants eps_r and alpha, the two-sided bound interval for the
+index, and the parity-split closed form in the auxiliary integer rho.
 """
 
 from __future__ import annotations
@@ -152,15 +163,72 @@ def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
     return matrix
 
 
+def germ_ideals(germ: CurveGerm, field: VectorFieldGerm | None = None, *,
+                tau: bool = True, chain: bool = False) -> dict:
+    """Labelled ideals of the germ (module docstring), in computing order:
+    "tau" unless ``tau`` is false, "dim_v" and "dim_vf" with a field, and
+    the chain steps 1..r if ``chain``."""
+    eqs = list(germ.equations)
+    ideals = {}
+    if tau:
+        ideals["tau"] = IdealGens(eqs + jacobian_minors(eqs))
+    if field is not None:
+        if all(a.is_zero() for a in field.components):
+            raise InfiniteDimensionError("the vector field is identically zero")
+        ideals["dim_v"] = IdealGens(field.components)
+        ideals["dim_vf"] = IdealGens(field.components + germ.equations)
+    if chain:
+        for k in range(1, germ.r + 1):
+            ideals[k] = IdealGens(eqs[:k - 1] + jacobian_minors(eqs[:k]))
+    return ideals
+
+
+_NOT_ZERO_DIMENSIONAL = {
+    "tau": "the singularity is not isolated: <f, minors> is not "
+           "zero-dimensional",
+    "dim_v": "the vector field does not have an isolated zero: <v> is not "
+             "zero-dimensional",
+    "dim_vf": "<v, f> is not zero-dimensional",
+}
+
+
+def ideal_dimensions(ideals: dict, dim) -> dict:
+    """Map ``dim`` (quotient_dim or quotient_dim_macaulay) over labelled
+    ideals.  An infinite dimension raises InfiniteDimensionError naming
+    the ideal, with ``step=k`` for chain step k."""
+    dims = {}
+    for label, gens in ideals.items():
+        value = dim(gens)
+        if value is INFINITE:
+            if isinstance(label, int):
+                raise InfiniteDimensionError(
+                    f"Le-Greuel chain step {label} is not zero-dimensional: "
+                    f"(f_1..f_{label}) is not an ICIS in this generator "
+                    "order", step=label)
+            raise InfiniteDimensionError(_NOT_ZERO_DIMENSIONAL[label])
+        dims[label] = value
+    return dims
+
+
+def milnor_from_chain(dims: dict) -> int:
+    """mu from the dimensions d_1..d_r of the chain steps, in order:
+    mu_k = d_k - mu_{k-1}."""
+    mu = 0
+    for value in dims.values():
+        mu = value - mu
+    return mu
+
+
+def _chain_milnor(germ: CurveGerm) -> int:
+    if germ.r != germ.m - 1:
+        raise ValueError("the Milnor chain here is for curve germs (r = m-1)")
+    return milnor_from_chain(ideal_dimensions(
+        germ_ideals(germ, tau=False, chain=True), quotient_dim))
+
+
 def greuel_tjurina(germ: CurveGerm) -> int:
     """dim O/<f, all maximal minors of the Jacobian of f>."""
-    gens = list(germ.equations) + jacobian_minors(list(germ.equations))
-    dim = quotient_dim(IdealGens(tuple(g for g in gens if not g.is_zero())))
-    if dim is INFINITE:
-        raise InfiniteDimensionError(
-            "the singularity is not isolated: <f, minors> is not "
-            "zero-dimensional")
-    return dim
+    return ideal_dimensions(germ_ideals(germ), quotient_dim)["tau"]
 
 
 @dataclass
@@ -200,21 +268,20 @@ def local_gsv_curve(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
         raise ValueError("local GSV along a curve needs r = m-1 equations")
     invariance_certificate(germ, v)
     tau = greuel_tjurina(germ)
-    nonzero_components = tuple(a for a in v.components if not a.is_zero())
-    if not nonzero_components:
-        raise InfiniteDimensionError("the vector field is identically zero")
-    dim_v = quotient_dim(IdealGens(nonzero_components))
-    if dim_v is INFINITE:
-        raise InfiniteDimensionError(
-            "the vector field does not have an isolated zero: <v> is not "
-            "zero-dimensional")
-    dim_vf = quotient_dim(IdealGens(nonzero_components + germ.equations))
-    if dim_vf is INFINITE:
-        raise InfiniteDimensionError("<v, f> is not zero-dimensional")
-    report = LocalIndexReport(tau=tau, dim_vf=dim_vf, dim_v=dim_v,
-                              gsv=-tau + dim_vf)
+    dims = ideal_dimensions(germ_ideals(germ, v, tau=False), quotient_dim)
+    report = LocalIndexReport(tau=tau, dim_vf=dims["dim_vf"],
+                              dim_v=dims["dim_v"], gsv=-tau + dims["dim_vf"])
     report.check()
     return report
+
+
+def _milnor_and_tau(germ: CurveGerm) -> tuple[int, int]:
+    mu = _chain_milnor(germ)
+    tau = greuel_tjurina(germ)
+    if mu < tau:
+        raise InternalCheckError(
+            f"computed Milnor number {mu} below Tjurina number {tau}")
+    return mu, tau
 
 
 def milnor_curve(germ: CurveGerm) -> int:
@@ -226,34 +293,13 @@ def milnor_curve(germ: CurveGerm) -> int:
     caller can permute the generators; the chain is never permuted
     silently.
     """
-    if germ.r != germ.m - 1:
-        raise ValueError("the Milnor chain here is for curve germs (r = m-1)")
-    mu = 0
-    eqs = list(germ.equations)
-    for k in range(1, len(eqs) + 1):
-        gens = eqs[:k - 1] + jacobian_minors(eqs[:k])
-        gens = tuple(g for g in gens if not g.is_zero())
-        if not gens:
-            raise InfiniteDimensionError(
-                f"Le-Greuel chain step {k}: all minors vanish identically",
-                step=k)
-        dim = quotient_dim(IdealGens(gens))
-        if dim is INFINITE:
-            raise InfiniteDimensionError(
-                f"Le-Greuel chain step {k} is not zero-dimensional: "
-                f"(f_1..f_{k}) is not an ICIS in this generator order",
-                step=k)
-        mu = dim - mu
-    tau = greuel_tjurina(germ)
-    if mu < tau:
-        raise InternalCheckError(
-            f"computed Milnor number {mu} below Tjurina number {tau}")
-    return mu
+    return _milnor_and_tau(germ)[0]
 
 
 def is_quasihomogeneous(germ: CurveGerm) -> bool:
     """mu == tau test for the germ (curve case)."""
-    return milnor_curve(germ) == greuel_tjurina(germ)
+    mu, tau = _milnor_and_tau(germ)
+    return mu == tau
 
 
 def schwartz_curve(germ: CurveGerm, v: VectorFieldGerm) -> int:
@@ -268,7 +314,7 @@ def local_indices(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
     rather than raised: it would falsify the run's assumptions.
     """
     report = local_gsv_curve(germ, v)
-    mu = milnor_curve(germ)
+    mu = _chain_milnor(germ)
     report.milnor = mu
     report.schwartz = report.gsv + mu
     report.quasihomogeneous = (mu == report.tau)

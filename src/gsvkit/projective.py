@@ -280,12 +280,11 @@ class TotalGSVReport:
     consistent: bool
 
 
-def germ_at_point(fol: ProjectiveFoliation, ci: ProjectiveCI,
-                  point: PointOnChart) -> tuple[CurveGerm, VectorFieldGerm]:
-    """Dehomogenize on the point's chart and recentre the germ there."""
-    if fol.m != ci.m:
-        raise ValueError("foliation and curve live on different spaces")
-    m = fol.m
+def curve_germ_at(ci: ProjectiveCI, point: PointOnChart,
+                  equation_order=None) -> CurveGerm:
+    """Dehomogenize the curve on the point's chart and recentre it there,
+    its equations permuted by ``equation_order`` (of range(r)) if given."""
+    m = ci.m
     if not 0 <= point.chart <= m:
         raise ValueError(f"chart must lie in 0..{m}")
     if len(point.coords) != m:
@@ -294,20 +293,30 @@ def germ_at_point(fol: ProjectiveFoliation, ci: ProjectiveCI,
     for i, f in enumerate(affine_eqs):
         if f.evaluate(point.coords):
             raise PointNotOnCurveError(
-                f"equation {i + 1} does not vanish at the supplied point")
+                f"equation {i + 1} does not vanish at chart {point.chart} "
+                f"point {[str(c) for c in point.coords]}")
+    if equation_order is not None:
+        if sorted(equation_order) != list(range(ci.r)):
+            raise ValueError("equation_order must be a permutation of the "
+                             "equation indices")
+        affine_eqs = tuple(affine_eqs[i] for i in equation_order)
+    return CurveGerm(tuple(f.translate(point.coords) for f in affine_eqs))
+
+
+def germ_at_point(fol: ProjectiveFoliation, ci: ProjectiveCI,
+                  point: PointOnChart, equation_order=None
+                  ) -> tuple[CurveGerm, VectorFieldGerm]:
+    """Curve and field germs recentred at the point (see curve_germ_at)."""
+    if fol.m != ci.m:
+        raise ValueError("foliation and curve live on different spaces")
+    germ = curve_germ_at(ci, point, equation_order)
     field = dehomogenize_foliation(fol, point.chart)
-    germ = CurveGerm(tuple(f.translate(point.coords) for f in affine_eqs))
     moved = VectorFieldGerm(tuple(a.translate(point.coords)
                                   for a in field.components))
     return germ, moved
 
 
-def total_gsv_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,
-                        points) -> TotalGSVReport:
-    """Sum the local indices over the supplied points and compare with the
-    closed form.  The flag is the safety net: a mismatch means a missed
-    point of the singular set or degenerate input.
-    """
+def _certified_total(fol, ci, points, local, equation_order=None):
     points = list(points)
     if ci.r != ci.m - 1:
         raise ValueError("certified totals need a curve (r = m-1)")
@@ -319,15 +328,21 @@ def total_gsv_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,
                 f"points {seen[key] + 1} and {idx + 1} name the same "
                 "projective point")
         seen[key] = idx
-    reports = []
-    for point in points:
-        germ, field = germ_at_point(fol, ci, point)
-        reports.append(local_gsv_curve(germ, field))
+    reports = tuple(local(*germ_at_point(fol, ci, point, equation_order))
+                    for point in points)
     local_sum = sum(r.gsv for r in reports)
     closed = closed_form_gsv(ci.m, ci.multidegree, fol.d)
     return TotalGSVReport(closed_form=closed, local_sum=local_sum,
-                          per_point=tuple(reports),
-                          consistent=closed == local_sum)
+                          per_point=reports, consistent=closed == local_sum)
+
+
+def total_gsv_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,
+                        points) -> TotalGSVReport:
+    """Sum the local indices over the supplied points and compare with the
+    closed form.  The flag is the safety net: a mismatch means a missed
+    point of the singular set or degenerate input.
+    """
+    return _certified_total(fol, ci, points, local_gsv_curve)
 
 
 def total_indices_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,
@@ -337,25 +352,7 @@ def total_indices_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,
     before the Milnor chain (the chain is order-sensitive); it must be a
     permutation of range(r).
     """
-    points = list(points)
-    if ci.r != ci.m - 1:
-        raise ValueError("certified totals need a curve (r = m-1)")
-    if equation_order is not None:
-        equation_order = tuple(equation_order)
-        if sorted(equation_order) != list(range(ci.r)):
-            raise ValueError("equation_order must be a permutation of the "
-                             "equation indices")
-    reports = []
-    for point in points:
-        germ, field = germ_at_point(fol, ci, point)
-        if equation_order is not None:
-            germ = CurveGerm(tuple(germ.equations[i] for i in equation_order))
-        reports.append(local_indices(germ, field))
-    local_sum = sum(r.gsv for r in reports)
-    closed = closed_form_gsv(ci.m, ci.multidegree, fol.d)
-    return TotalGSVReport(closed_form=closed, local_sum=local_sum,
-                          per_point=tuple(reports),
-                          consistent=closed == local_sum)
+    return _certified_total(fol, ci, points, local_indices, equation_order)
 
 
 @dataclass(frozen=True)

@@ -255,9 +255,12 @@ point = 1 : 0, 0, 0
     code, out, _ = run_cli(
         capsys, "tjurina",
         "--job", write_job(tmp_path, base.replace("MODE", "tjurina")),
-        "--quiet")
+        "--quiet", "--oracle")
     assert code == 0
-    assert json.loads(out)["results"]["per_point"] == [2, 6]
+    report = json.loads(out)
+    assert report["results"]["per_point"] == [2, 6]
+    # one "tau" ideal per point
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 2}
     code, out, _ = run_cli(
         capsys, "milnor",
         "--job", write_job(tmp_path, base.replace("MODE", "milnor")),
@@ -265,7 +268,8 @@ point = 1 : 0, 0, 0
     assert code == 0
     report = json.loads(out)
     assert report["results"]["per_point"] == [2, 6]
-    assert report["oracle"]["agreement"] is True
+    # chain steps 1 and 2 at each of the two points
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 4}
 
 
 def test_local_gsv_mode(tmp_path, capsys):
@@ -310,6 +314,29 @@ def test_missing_point_exit_2(tmp_path, capsys):
     assert report["anomalies"]
 
 
+def test_missing_point_oracle_still_agrees(tmp_path, capsys):
+    # a total-index mismatch is not an oracle disagreement: staircase and
+    # Macaulay agree on the one point given
+    job = "\n".join(line for line in GOLDEN_JOB.read_text().splitlines()
+                    if not line.startswith("point = 1"))
+    code, out, _ = run_cli(capsys, "total-gsv", "--job",
+                           write_job(tmp_path, job), "--oracle", "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 3}
+    assert len(report["anomalies"]) == 1
+    assert report["anomalies"][0].startswith("total index mismatch")
+
+
+def test_duplicate_point_schwartz_exit_1(tmp_path, capsys):
+    job = SCHWARTZ_JOB.replace("point = 1 : 0, 0, 0",
+                               "point = 1 : 0, 0, 0\npoint = 0 : 0, 0, 0")
+    code, out, _ = run_cli(capsys, "schwartz", "--job",
+                           write_job(tmp_path, job), "--quiet")
+    assert code == 1
+    assert "name the same projective point" in json.loads(out)["error"]
+
+
 def test_unknown_key_exit_1(tmp_path, capsys):
     job = BOUNDS_JOB + "\nrho_max = 3\n"
     code, out, _ = run_cli(capsys, "bounds", "--job",
@@ -337,12 +364,15 @@ def test_bad_argv_exit_1(capsys):
 
 
 def test_point_off_curve_named_field(tmp_path, capsys):
-    job = SCHWARTZ_JOB.replace("point = 0 : 0, 0, 0",
-                               "point = 0 : 2, 0, 0")
-    code, out, _ = run_cli(capsys, "schwartz", "--job",
-                           write_job(tmp_path, job))
-    assert code == 1
-    assert "does not vanish" in json.loads(out)["error"]
+    for mode in ("schwartz", "tjurina", "total-gsv"):
+        job = SCHWARTZ_JOB.replace("point = 0 : 0, 0, 0",
+                                   "point = 0 : 2, 0, 0")
+        job = job.replace("mode = schwartz", f"mode = {mode}")
+        code, out, _ = run_cli(capsys, mode, "--job",
+                               write_job(tmp_path, job))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert "equation 1 does not vanish at chart 0 point" in error, mode
 
 
 # ---------------------------------------------------------------------------

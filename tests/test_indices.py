@@ -8,18 +8,22 @@ from gsvkit.errors import (
     InfiniteDimensionError,
     NotInvariantError,
 )
+from gsvkit import indices
 from gsvkit.indices import (
     CurveGerm,
     VectorFieldGerm,
     directional_derivative,
+    germ_ideals,
     greuel_tjurina,
     gsv_bounds_nondegenerate,
     gsv_from_rho,
+    ideal_dimensions,
     invariance_certificate,
     is_quasihomogeneous,
     local_gsv_curve,
     local_indices,
     milnor_curve,
+    milnor_from_chain,
     schwartz_curve,
     published_bound_table,
     nondegenerate_bound_constants,
@@ -164,6 +168,67 @@ def test_milnor_plane_curve_oracle_cusps():
         assert quotient_dim(jac) == (p - 1) * (q - 1)
         assert quotient_dim_macaulay(jac) == (p - 1) * (q - 1)
         assert milnor_curve(CurveGerm((f,))) == (p - 1) * (q - 1)
+
+
+# ---------------------------------------------------------------------------
+# the labelled ideal catalogue
+
+def test_germ_ideals_labels_in_order():
+    g, v = germ(*CUSP_GERM), field(*CUSP_FIELD)
+    assert list(germ_ideals(g)) == ["tau"]
+    assert list(germ_ideals(g, v)) == ["tau", "dim_v", "dim_vf"]
+    assert list(germ_ideals(g, v, tau=False, chain=True)) == [
+        "dim_v", "dim_vf", 1, 2]
+
+
+def test_staircase_and_macaulay_agree_on_catalogue():
+    g, v = germ(*CUSP_GERM), field(*CUSP_FIELD)
+    ideals = germ_ideals(g, v, chain=True)
+    staircase = ideal_dimensions(ideals, quotient_dim)
+    assert staircase == ideal_dimensions(ideals, quotient_dim_macaulay)
+    assert staircase["tau"] == greuel_tjurina(g) == 2
+    assert milnor_from_chain(
+        {k: d for k, d in staircase.items() if isinstance(k, int)}) == 2
+
+
+def test_ideal_dimensions_names_chain_step():
+    g = germ("y1^2 - y2^3", "y3^2 - y1", variables=Y3)
+    with pytest.raises(InfiniteDimensionError) as exc:
+        ideal_dimensions(germ_ideals(g, tau=False, chain=True), quotient_dim)
+    assert exc.value.step == 1
+    assert "chain step 1" in str(exc.value)
+
+
+def test_zero_field_named():
+    g = germ(*CUSP_GERM)
+    with pytest.raises(InfiniteDimensionError, match="identically zero"):
+        local_gsv_curve(g, field("0", "0", "0"))
+
+
+def _count_tjurina(monkeypatch):
+    calls = []
+    original = indices.greuel_tjurina
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(indices, "greuel_tjurina", counting)
+    return calls
+
+
+def test_local_indices_computes_tau_once(monkeypatch):
+    calls = _count_tjurina(monkeypatch)
+    report = local_indices(germ(*CUSP_GERM), field(*CUSP_FIELD))
+    assert (report.tau, report.milnor) == (2, 2)
+    assert len(calls) == 1
+
+
+def test_is_quasihomogeneous_computes_tau_once(monkeypatch):
+    calls = _count_tjurina(monkeypatch)
+    f = parse_polynomial("x^4 + y^5 + x^2*y^3", XY)
+    assert not is_quasihomogeneous(CurveGerm((f,)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,19 @@ def test_total_gsv_duplicate_point_rejected():
         total_gsv_certified(fol, ci, worked_points() + [worked_points()[0]])
 
 
+def test_total_indices_duplicate_point_rejected():
+    # the same shared validation as total_gsv_certified, for the Schwartz
+    # and Euler route
+    fol, ci = worked_example()
+    with pytest.raises(DuplicatePointError):
+        total_indices_certified(fol, ci,
+                                worked_points() + [worked_points()[0]],
+                                equation_order=(1, 0))
+
+
 def test_total_gsv_point_off_curve_rejected():
     fol, ci = worked_example()
-    with pytest.raises(PointNotOnCurveError):
+    with pytest.raises(PointNotOnCurveError, match="chart 0 point"):
         total_gsv_certified(fol, ci, [PointOnChart(0, (2, 0, 0))])
 
 
