@@ -1,7 +1,8 @@
 """Walkthrough: the difference-class identities and the projective integral.
 
 The total Chern class of a virtual difference TX - N is
-c(TX) * c(N)^{-1}.  Its graded pieces can be unrolled three ways:
+c(TX) * c(N)^{-1}.  Its graded pieces d_0..d_T can be unrolled three ways,
+each returning the whole sequence at once:
 
   1. a triangular recursion  d_j = c_j(TX) - c_j(N) - sum c_{j-i}(N) d_i,
   2. a closed expansion over integer compositions (multi-indices), and
@@ -38,12 +39,12 @@ ring = GradedRing(names, 4)
 c_tx = ChernVector(ring, [ring.gen(f"a{t}") for t in range(1, 5)])
 c_n = ChernVector(ring, [ring.gen(f"b{t}") for t in range(1, 5)])
 
+recs = chern_difference_recursion(c_tx, c_n)
+exps = chern_difference_expansion(c_tx, c_n)
+invs = chern_difference_inversion(c_tx, c_n)
 for t in range(1, 5):
-    rec = chern_difference_recursion(c_tx, c_n, t)
-    exp = chern_difference_expansion(c_tx, c_n, t)
-    inv = chern_difference_inversion(c_tx, c_n, t)
-    marker = "OK " if rec == exp == inv else "BUG"
-    print(f"[{marker}] degree {t}: {rec}")
+    marker = "OK " if recs[t] == exps[t] == invs[t] else "BUG"
+    print(f"[{marker}] degree {t}: {recs[t]}")
 
 print()
 print("=== inverse total class is a truncated geometric series ===")

@@ -31,11 +31,9 @@ from .indices import (
 )
 from .localring import (
     INFINITE,
-    DivisionResult,
     IdealGens,
     StandardBasis,
     membership_with_cofactors,
-    mora_normal_form,
     quotient_dim,
     quotient_dim_macaulay,
     standard_basis,

@@ -4,11 +4,13 @@ The ring has named generators with positive integer degrees and discards
 every monomial above the truncation degree.  Coefficients are integers
 only; handing in a rational is treated as a modeling error and rejected.
 
-The degree-t piece of the virtual difference of two bundles is computed
-three independent ways -- a triangular recursion, the closed multi-index
-expansion over compositions, and truncated power-series inversion of the
-total class -- and the three must agree symbolically.  Specializing to
-projective space (one degree-1 generator h with h^(m+1) = 0) evaluates the
+The classes d_0..d_T of the virtual difference of two bundles (T the
+truncation degree) are computed three independent ways, each returning the
+whole sequence in one pass: a triangular recursion, the closed multi-index
+expansion over compositions (factored as d_t = sum_j c_{t-j}(TX) e_j, with
+e_j the signed sum over compositions of j), and truncated power-series
+inversion of the total class.  The three must agree symbolically.
+Specializing to projective space (one degree-1 generator h) evaluates the
 total-index integrand of a split bundle exactly.
 """
 
@@ -246,18 +248,15 @@ def compositions(j: int, i: int) -> list[tuple[int, ...]]:
     return out
 
 
-def inverse_total_class(c: ChernVector, truncation: int | None = None
-                        ) -> GradedElement:
+def inverse_total_class(c: ChernVector) -> GradedElement:
     """Inverse of the total class 1 + c_1 + ... up to the truncation degree.
 
     The product of the total class with the result is exactly 1 in the
     truncated ring.
     """
     ring = c.ring
-    if truncation is None:
-        truncation = ring.truncation
     parts = [ring.one()]
-    for k in range(1, truncation + 1):
+    for k in range(1, ring.truncation + 1):
         acc = ring.zero()
         for i in range(1, min(k, c.rank) + 1):
             acc = acc + c.class_at(i) * parts[k - i]
@@ -268,49 +267,56 @@ def inverse_total_class(c: ChernVector, truncation: int | None = None
     return total
 
 
-def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector,
-                               t: int) -> GradedElement:
-    """Degree-t class of the virtual difference TX - N by the triangular
-    recursion d_j = c_j(TX) - c_j(N) - sum_{i<j} c_{j-i}(N) d_i."""
-    if t < 0 or t > c_tx.ring.truncation:
-        raise ValueError("t out of range")
-    if t == 0:
-        return c_tx.ring.one()
-    deltas: list[GradedElement] = []
-    for j in range(1, t + 1):
+def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
+                               ) -> tuple[GradedElement, ...]:
+    """Classes d_0..d_T of the virtual difference TX - N (T the truncation)
+    by the triangular recursion d_0 = 1,
+    d_j = c_j(TX) - c_j(N) - sum_{0<i<j} c_{j-i}(N) d_i."""
+    deltas = [c_tx.ring.one()]
+    for j in range(1, c_tx.ring.truncation + 1):
         d = c_tx.class_at(j) - c_n.class_at(j)
         for i in range(1, j):
-            d = d - c_n.class_at(j - i) * deltas[i - 1]
+            d = d - c_n.class_at(j - i) * deltas[i]
         deltas.append(d)
-    return deltas[t - 1]
+    return tuple(deltas)
 
 
-def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector,
-                               t: int) -> GradedElement:
-    """Degree-t class of TX - N by the closed multi-index expansion:
+def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
+                               ) -> tuple[GradedElement, ...]:
+    """Classes d_0..d_T of TX - N (T the truncation) by the closed
+    multi-index expansion
 
-    c_t(TX) + sum_{j=1}^{t} sum_{i=1}^{j} sum_{|L_i| = j}
-        (-1)^i c_{t-j}(TX) c_{l_1}(N) ... c_{l_i}(N)
+        d_t = c_t(TX) + sum_{j=1}^{t} sum_{i=1}^{j} sum_{|L_i| = j}
+            (-1)^i c_{t-j}(TX) c_{l_1}(N) ... c_{l_i}(N),
+
+    with the common factor c_{t-j}(TX) pulled out: d_t = sum_{j=0}^{t}
+    c_{t-j}(TX) e_j, where e_0 = 1 and
+    e_j = sum_{i=1}^{j} (-1)^i sum_{|L_i| = j} c_{l_1}(N) ... c_{l_i}(N).
     """
-    if t < 0 or t > c_tx.ring.truncation:
-        raise ValueError("t out of range")
-    total = c_tx.class_at(t)
-    for j in range(1, t + 1):
+    ring = c_tx.ring
+    e = [ring.one()]
+    for j in range(1, ring.truncation + 1):
+        acc = ring.zero()
         for i in range(1, j + 1):
             sign = (-1) ** i
             for parts in compositions(j, i):
-                prod = c_tx.class_at(t - j)
+                prod = ring.one()
                 for l in parts:
                     prod = prod * c_n.class_at(l)
-                total = total + sign * prod
-    return total
+                acc = acc + sign * prod
+        e.append(acc)
+    return tuple(sum((c_tx.class_at(t - j) * e[j] for j in range(t + 1)),
+                     ring.zero())
+                 for t in range(ring.truncation + 1))
 
 
-def chern_difference_inversion(c_tx: ChernVector, c_n: ChernVector,
-                               t: int) -> GradedElement:
-    """Degree-t part of c(TX) * c(N)^{-1}: the power-series route."""
+def chern_difference_inversion(c_tx: ChernVector, c_n: ChernVector
+                               ) -> tuple[GradedElement, ...]:
+    """Classes d_0..d_T of TX - N (T the truncation) as the homogeneous
+    parts of c(TX) * c(N)^{-1}: the power-series route."""
     product = c_tx.total_class() * inverse_total_class(c_n)
-    return product.homogeneous_part(t)
+    return tuple(product.homogeneous_part(t)
+                 for t in range(c_tx.ring.truncation + 1))
 
 
 def elementary_symmetric(l: int, ks) -> int:
@@ -354,14 +360,16 @@ def total_gsv_integral_projective(m: int, ks, d: int) -> int:
     intersection cut out by hypersurfaces of degrees ks, evaluated from the
     characteristic-class integrand.
 
-    Works in Z[h]/(h^(m+1)): the tangent classes are binomial multiples of
-    powers of the hyperplane class, the normal bundle is split with
+    Works in Z[h]: the tangent classes are binomial multiples of powers of
+    the hyperplane class, the normal bundle is split with
     elementary-symmetric classes, and the cotangent class of the foliation
     is (d-1)h.  The result is the h^m coefficient of
 
         c_r(N) * sum_{t=0}^{m-r} c_t(TX - N) * ((d-1)h)^(m-r-t)
 
-    with the difference classes expanded by the multi-index formula.
+    with the difference classes expanded by the multi-index formula.  As
+    c_r(N) = e_r(k) h^r, that is e_r(k) times the h^(m-r) coefficient of
+    the sum, so the ring is truncated at degree m-r.
     """
     ks = list(ks)
     r = len(ks)
@@ -371,14 +379,11 @@ def total_gsv_integral_projective(m: int, ks, d: int) -> int:
         raise ValueError("hypersurface degrees must be positive")
     if d < 0:
         raise ValueError("foliation degree must be non-negative")
-    ring = GradedRing({"h": 1}, m)
-    h = ring.gen("h")
-    c_tx = projective_tangent_chern(ring, m)
-    c_n = split_bundle_chern(ring, ks)
-    foliation_class = (d - 1) * h
+    ring = GradedRing({"h": 1}, m - r)
+    diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
+                                       split_bundle_chern(ring, ks))
+    foliation_class = (d - 1) * ring.gen("h")
     acc = ring.zero()
-    for t in range(0, m - r + 1):
-        acc = acc + (chern_difference_expansion(c_tx, c_n, t)
-                     * foliation_class ** (m - r - t))
-    integrand = c_n.class_at(r) * acc
-    return integrand.coefficient(("h",) * m)
+    for t, diff in enumerate(diffs):
+        acc = acc + diff * foliation_class ** (m - r - t)
+    return elementary_symmetric(r, ks) * acc.coefficient(("h",) * (m - r))

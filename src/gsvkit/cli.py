@@ -49,10 +49,10 @@ from .projective import (
     PointOnChart,
     ProjectiveCI,
     ProjectiveFoliation,
+    check_distinct_points,
     closed_form_gsv,
     curve_germ_at,
     euler_characteristic_curve,
-    germ_at_point,
     poincare_degree_bound,
     projective_variables,
     soares_plane_bound,
@@ -387,10 +387,9 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
     _need(job.curve is not None, "[curve] equations: required")
     _need(bool(job.points), "[points] point: at least one point is required")
     anomalies = []
-    order = job.milnor_order if full else None
     if full:
         report = total_indices_certified(job.foliation, job.curve, job.points,
-                                         equation_order=order)
+                                         equation_order=job.milnor_order)
     else:
         report = total_gsv_certified(job.foliation, job.curve, job.points)
     results: dict = {
@@ -413,10 +412,9 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
     oracle_info = None
     if oracle:
         checks = []
-        for point, rep in zip(job.points, report.per_point):
-            ideals = germ_ideals(*germ_at_point(job.foliation, job.curve,
-                                                point, order))
-            dims = ideal_dimensions(ideals, quotient_dim_macaulay)
+        for point, rep, germ in zip(job.points, report.per_point,
+                                    report.germs):
+            dims = ideal_dimensions(germ_ideals(*germ), quotient_dim_macaulay)
             checks.append((point, (rep.tau, rep.dim_v, rep.dim_vf),
                            (dims["tau"], dims["dim_v"], dims["dim_vf"]),
                            len(dims)))
@@ -429,6 +427,7 @@ def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
     _need(bool(job.points), "[points] point: at least one point is required")
     tjurina = which == "tjurina"
     invariant = greuel_tjurina if tjurina else milnor_curve
+    check_distinct_points(job.points)
     germs = [curve_germ_at(job.curve, point, job.milnor_order)
              for point in job.points]
     values = [invariant(germ) for germ in germs]
@@ -557,11 +556,9 @@ def _run_chern_check(job: JobSpec):
     ring = GradedRing(names, m)
     c_tx = ChernVector(ring, [ring.gen(f"a{t}") for t in range(1, m + 1)])
     c_n = ChernVector(ring, [ring.gen(f"b{t}") for t in range(1, m + 1)])
-    triple = all(
-        chern_difference_recursion(c_tx, c_n, t)
-        == chern_difference_expansion(c_tx, c_n, t)
-        == chern_difference_inversion(c_tx, c_n, t)
-        for t in range(m + 1))
+    triple = (chern_difference_recursion(c_tx, c_n)
+              == chern_difference_expansion(c_tx, c_n)
+              == chern_difference_inversion(c_tx, c_n))
     if not triple:
         anomalies.append("difference-class identities disagree symbolically")
     try:

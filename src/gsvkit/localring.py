@@ -89,22 +89,6 @@ class IdealGens:
 
 
 @dataclass(frozen=True)
-class DivisionResult:
-    """Weak normal form: unit * dividend = sum(cofactors * gens) + remainder."""
-
-    unit: Polynomial
-    cofactors: tuple[Polynomial, ...]
-    remainder: Polynomial
-
-    def verify(self, dividend: Polynomial, gens: IdealGens) -> bool:
-        """Exact term-by-term check of the division identity."""
-        acc = self.unit * dividend - self.remainder
-        for cof, g in zip(self.cofactors, gens.generators):
-            acc = acc - cof * g
-        return acc.is_zero() and bool(self.unit.constant_term)
-
-
-@dataclass(frozen=True)
 class StandardBasis:
     """Completed basis; ``lifts[k]`` writes ``elements[k]`` over the input
     generators as an exact polynomial combination."""
@@ -189,25 +173,6 @@ def _mora(p, basis, order, budget):
                 unit = unit.scaled(scale)
                 cof = [c.scaled(scale) for c in cof]
     return unit, cof, h
-
-
-def mora_normal_form(p: Polynomial, gens: IdealGens,
-                     step_limit: int = DEFAULT_STEP_LIMIT) -> DivisionResult:
-    """Mora weak normal form of p against the generators as given.
-
-    Remainder 0 certifies membership in the local ideal.  A nonzero
-    remainder does NOT certify non-membership unless the generators are a
-    standard basis; use ``membership_with_cofactors`` for a decision.
-    """
-    _require_local(gens.order)
-    if p.variables != gens.variables:
-        raise ValueError("dividend and generators use different variables")
-    budget = _Budget(step_limit)
-    unit, cof, rem = _mora(p, list(gens.generators), gens.order, budget)
-    result = DivisionResult(unit, tuple(cof), rem)
-    if not result.verify(p, gens):
-        raise InternalCheckError("division identity failed to re-expand")
-    return result
 
 
 def _spoly(f, g, order):

@@ -153,11 +153,6 @@ class Polynomial:
             return None
         return max(sum(e) for e in self.terms)
 
-    def min_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
     @property
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), Fraction(0))

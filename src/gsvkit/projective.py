@@ -274,10 +274,14 @@ def soares_plane_bound(k: int, d: int, milnor_list) -> InequalityReport:
 
 @dataclass(frozen=True)
 class TotalGSVReport:
+    """Local reports, and the (curve germ, field germ) pair each was
+    computed from, per point; their sum against the closed form."""
+
     closed_form: int
     local_sum: int
     per_point: tuple[LocalIndexReport, ...]
     consistent: bool
+    germs: tuple[tuple[CurveGerm, VectorFieldGerm], ...]
 
 
 def curve_germ_at(ci: ProjectiveCI, point: PointOnChart,
@@ -316,10 +320,8 @@ def germ_at_point(fol: ProjectiveFoliation, ci: ProjectiveCI,
     return germ, moved
 
 
-def _certified_total(fol, ci, points, local, equation_order=None):
-    points = list(points)
-    if ci.r != ci.m - 1:
-        raise ValueError("certified totals need a curve (r = m-1)")
+def check_distinct_points(points):
+    """Raise DuplicatePointError if two points name one projective point."""
     seen = {}
     for idx, point in enumerate(points):
         key = point.canonical()
@@ -328,12 +330,21 @@ def _certified_total(fol, ci, points, local, equation_order=None):
                 f"points {seen[key] + 1} and {idx + 1} name the same "
                 "projective point")
         seen[key] = idx
-    reports = tuple(local(*germ_at_point(fol, ci, point, equation_order))
-                    for point in points)
+
+
+def _certified_total(fol, ci, points, local, equation_order=None):
+    points = list(points)
+    if ci.r != ci.m - 1:
+        raise ValueError("certified totals need a curve (r = m-1)")
+    check_distinct_points(points)
+    germs = tuple(germ_at_point(fol, ci, point, equation_order)
+                  for point in points)
+    reports = tuple(local(*germ) for germ in germs)
     local_sum = sum(r.gsv for r in reports)
     closed = closed_form_gsv(ci.m, ci.multidegree, fol.d)
     return TotalGSVReport(closed_form=closed, local_sum=local_sum,
-                          per_point=reports, consistent=closed == local_sum)
+                          per_point=reports, consistent=closed == local_sum,
+                          germs=germs)
 
 
 def total_gsv_certified(fol: ProjectiveFoliation, ci: ProjectiveCI,

@@ -153,11 +153,11 @@ def test_criterion_03_difference_class_triple_agreement():
                                   for t in range(1, rng.randint(1, m) + 1)])
         c_n = ChernVector(ring, [random_class("b", t)
                                  for t in range(1, rng.randint(1, m) + 1)])
+        recs = chern_difference_recursion(c_tx, c_n)
+        exps = chern_difference_expansion(c_tx, c_n)
+        invs = chern_difference_inversion(c_tx, c_n)
         for t in range(m + 1):
-            rec = chern_difference_recursion(c_tx, c_n, t)
-            exp = chern_difference_expansion(c_tx, c_n, t)
-            inv = chern_difference_inversion(c_tx, c_n, t)
-            if not (rec == exp == inv):
+            if not (recs[t] == exps[t] == invs[t]):
                 ok = False
         cases += 1
     announce(3, "difference-class recursion == expansion == series "

@@ -133,7 +133,7 @@ def test_inverse_is_involution():
 
 def test_recursion_degree_one():
     _, c_tx, c_n = abstract_pair(3)
-    assert chern_difference_recursion(c_tx, c_n, 1) \
+    assert chern_difference_recursion(c_tx, c_n)[1] \
         == c_tx.class_at(1) - c_n.class_at(1)
 
 
@@ -141,29 +141,29 @@ def test_recursion_degree_two_closed_form():
     ring, c_tx, c_n = abstract_pair(3)
     a1, a2 = ring.gen("a1"), ring.gen("a2")
     b1, b2 = ring.gen("b1"), ring.gen("b2")
-    assert chern_difference_recursion(c_tx, c_n, 2) \
+    assert chern_difference_recursion(c_tx, c_n)[2] \
         == a2 - b1 * a1 + b1 * b1 - b2
 
 
 def test_difference_with_trivial_bundle():
     ring, c_tx, _ = abstract_pair(4)
     trivial = ChernVector(ring, [])
+    rec = chern_difference_recursion(c_tx, trivial)
+    exp = chern_difference_expansion(c_tx, trivial)
     for t in range(5):
-        assert chern_difference_recursion(c_tx, trivial, t) \
-            == c_tx.class_at(t)
-        assert chern_difference_expansion(c_tx, trivial, t) \
-            == c_tx.class_at(t)
+        assert rec[t] == c_tx.class_at(t)
+        assert exp[t] == c_tx.class_at(t)
 
 
 def test_triple_agreement_abstract():
     for m in (2, 3, 4, 5):
         _, c_tx, c_n = abstract_pair(m)
+        recs = chern_difference_recursion(c_tx, c_n)
+        exps = chern_difference_expansion(c_tx, c_n)
+        invs = chern_difference_inversion(c_tx, c_n)
         for t in range(m + 1):
-            rec = chern_difference_recursion(c_tx, c_n, t)
-            exp = chern_difference_expansion(c_tx, c_n, t)
-            inv = chern_difference_inversion(c_tx, c_n, t)
-            assert rec == exp == inv
-            assert rec.is_homogeneous_of_degree(t)
+            assert recs[t] == exps[t] == invs[t]
+            assert recs[t].is_homogeneous_of_degree(t)
 
 
 def test_triple_agreement_randomized_mixed_terms():
@@ -189,10 +189,31 @@ def test_triple_agreement_randomized_mixed_terms():
         c_n = ChernVector(ring, [random_class("b", t)
                                  for t in range(1, rank_n + 1)])
         t = rng.randint(0, m)
-        rec = chern_difference_recursion(c_tx, c_n, t)
-        exp = chern_difference_expansion(c_tx, c_n, t)
-        inv = chern_difference_inversion(c_tx, c_n, t)
+        rec = chern_difference_recursion(c_tx, c_n)[t]
+        exp = chern_difference_expansion(c_tx, c_n)[t]
+        inv = chern_difference_inversion(c_tx, c_n)[t]
         assert rec == exp == inv
+
+
+def test_routes_return_every_degree_up_to_truncation():
+    rng = random.Random(7)
+    cases = [abstract_pair(m) for m in (1, 3, 6)]
+    cases += [abstract_pair(5, rank_tx=2, rank_n=4), abstract_pair(4, 4, 0)]
+    ring = GradedRing({"h": 1}, 7)
+    h = ring.gen("h")
+    c_tx, c_n = (ChernVector(ring, [rng.randint(-3, 3) * h ** t
+                                    for t in range(1, rank + 1)])
+                 for rank in (7, 3))
+    cases.append((ring, c_tx, c_n))
+    for ring, c_tx, c_n in cases:
+        for route in (chern_difference_recursion, chern_difference_expansion,
+                      chern_difference_inversion):
+            classes = route(c_tx, c_n)
+            assert isinstance(classes, tuple)
+            assert len(classes) == ring.truncation + 1
+            assert classes[0] == ring.one()
+            for t, d in enumerate(classes):
+                assert d.is_homogeneous_of_degree(t)
 
 
 # ---------------------------------------------------------------------------

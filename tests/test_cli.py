@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+from gsvkit import cli
 from gsvkit.cli import load_job, main, render_report, run_job
 
 REPO = Path(__file__).resolve().parent.parent
@@ -197,6 +198,45 @@ def test_chern_check_mode(tmp_path, capsys):
     assert results["equal"] is True
 
 
+def test_chern_check_calls_each_route_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("chern_difference_recursion", "chern_difference_expansion",
+                 "chern_difference_inversion"):
+        route = getattr(cli, name)
+
+        def counted(c_tx, c_n, name=name, route=route):
+            calls.append(name)
+            return route(c_tx, c_n)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run_cli(capsys, "chern-check", "--job",
+                           write_job(tmp_path, CHERN_JOB), "--quiet")
+    assert code == 0
+    assert json.loads(out)["results"]["triple_agreement"] is True
+    assert sorted(calls) == ["chern_difference_expansion",
+                             "chern_difference_inversion",
+                             "chern_difference_recursion"]
+
+
+def test_chern_check_route_disagreement_exit_2(tmp_path, capsys,
+                                                monkeypatch):
+    route = cli.chern_difference_inversion
+
+    def wrong_top_class(c_tx, c_n):
+        classes = route(c_tx, c_n)
+        return classes[:-1] + (2 * classes[-1],)
+
+    monkeypatch.setattr(cli, "chern_difference_inversion", wrong_top_class)
+    code, out, _ = run_cli(capsys, "chern-check", "--job",
+                           write_job(tmp_path, CHERN_JOB), "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["results"]["triple_agreement"] is False
+    assert report["results"]["equal"] is True
+    assert report["anomalies"] == [
+        "difference-class identities disagree symbolically"]
+
+
 SCHWARTZ_JOB = """
 [job]
 mode = schwartz
@@ -331,10 +371,15 @@ def test_missing_point_oracle_still_agrees(tmp_path, capsys):
 def test_duplicate_point_schwartz_exit_1(tmp_path, capsys):
     job = SCHWARTZ_JOB.replace("point = 1 : 0, 0, 0",
                                "point = 1 : 0, 0, 0\npoint = 0 : 0, 0, 0")
-    code, out, _ = run_cli(capsys, "schwartz", "--job",
-                           write_job(tmp_path, job), "--quiet")
-    assert code == 1
-    assert "name the same projective point" in json.loads(out)["error"]
+    for mode in ("schwartz", "tjurina", "milnor"):
+        path = write_job(tmp_path, job.replace("mode = schwartz",
+                                               f"mode = {mode}"))
+        for extra in ((), ("--oracle",)):
+            code, out, _ = run_cli(capsys, mode, "--job", path, "--quiet",
+                                   *extra)
+            assert code == 1
+            assert "points 1 and 3 name the same projective point" \
+                in json.loads(out)["error"]
 
 
 def test_unknown_key_exit_1(tmp_path, capsys):

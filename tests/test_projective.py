@@ -212,6 +212,14 @@ def test_total_gsv_worked_example():
     assert report.consistent
 
 
+def test_total_report_carries_the_germs_it_used():
+    fol, ci = worked_example()
+    points = worked_points()
+    report = total_indices_certified(fol, ci, points, equation_order=(1, 0))
+    assert report.germs == tuple(germ_at_point(fol, ci, p, (1, 0))
+                                 for p in points)
+
+
 def test_total_gsv_missing_point_inconsistent():
     fol, ci = worked_example()
     report = total_gsv_certified(fol, ci, worked_points()[:1])
