@@ -27,7 +27,8 @@ class VariableMismatchError(GsvkitError):
 
 
 class IterationLimitError(GsvkitError):
-    """A division or completion loop exceeded its configured step cap."""
+    """A division or completion loop used up the library's fixed budget of
+    reduction steps."""
 
 
 class InfiniteDimensionError(GsvkitError):
@@ -43,7 +44,15 @@ class InfiniteDimensionError(GsvkitError):
 
 
 class NotMemberError(GsvkitError):
-    """The element does not belong to the ideal in the local ring."""
+    """The element does not belong to the ideal in the local ring.
+
+    ``index`` is the 0-based position of that element among the targets
+    that were tested together.
+    """
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class NotInvariantError(GsvkitError):

@@ -148,16 +148,13 @@ def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
     """
     if germ.variables != v.variables:
         raise ValueError("germ and field use different variable lists")
-    gens = IdealGens(germ.equations)
-    rows = []
-    for i, f in enumerate(germ.equations):
-        target = directional_derivative(f, v)
-        try:
-            unit, cofactors = membership_with_cofactors(target, gens)
-        except NotMemberError:
-            raise NotInvariantError(i) from None
-        rows.append(MembershipCertificate(unit, cofactors))
-    matrix = HMatrix(tuple(rows))
+    targets = [directional_derivative(f, v) for f in germ.equations]
+    try:
+        rows = membership_with_cofactors(targets, IdealGens(germ.equations))
+    except NotMemberError as err:
+        raise NotInvariantError(err.index) from None
+    matrix = HMatrix(tuple(MembershipCertificate(unit, cofactors)
+                           for unit, cofactors in rows))
     if not matrix.verify(germ, v):
         raise InternalCheckError("invariance certificate failed to re-expand")
     return matrix

@@ -1,16 +1,24 @@
 """Standard bases and quotient dimensions in the local ring at the origin.
 
-Division uses Mora's weak normal form with ecart-controlled divisor
-selection, which terminates for local orders and certifies an exact
-identity ``unit * p = sum(cofactor_i * g_i) + remainder`` with the unit
-invertible at the origin.  Completion is Buchberger-style over S-pairs
-with the product criterion.  Quotient dimensions are staircase counts of
-the resulting leading ideal; an independent Macaulay-matrix oracle is
-provided for cross-checks.
+All computations use the local order LOCAL_ANTIDEGREVLEX.  They work on
+rows: a row is a tuple ``(polynomial, *bookkeeping)`` whose entries all
+undergo the same linear steps, so an invariant linear in the row, such as
+``row[0] = sum(row[1 + j] * g_j)`` over some fixed generators g_j, holds
+for every row derived from rows that satisfy it.  Division is Mora's weak
+normal form with ecart-controlled divisor selection, which terminates for
+local orders; completion is Buchberger-style over S-pairs with the
+product criterion.  Each caller chooses the row width:
 
-Generator transformations ("lifts") are tracked through completion so
-that ideal membership can be certified over the *original* generators,
-not just over the computed basis.
+  quotient_dim               bare rows ``(p,)``: no bookkeeping at all;
+                             the dimension is the staircase count of the
+                             leading ideal
+  standard_basis             rows ``(p, lift over the generators)``, so
+                             each basis element comes with its lift
+  membership_with_cofactors  rows ``(p, unit, cofactors)``, which certify
+                             ``unit * p = sum(cofactor_j * g_j)`` exactly
+                             with the unit invertible at the origin
+
+An independent Macaulay-matrix oracle is provided for cross-checks.
 """
 
 from __future__ import annotations
@@ -63,16 +71,15 @@ INFINITE = _Infinite()
 
 @dataclass(frozen=True)
 class IdealGens:
-    """Generators of an ideal together with the active monomial order.
+    """Generators of an ideal of the local ring.
 
     Zero generators are dropped; all generators must share one variable
-    list.  Local computations require LOCAL_ANTIDEGREVLEX.
+    list.
     """
 
     generators: tuple[Polynomial, ...]
-    order: MonomialOrder = LOCAL_ANTIDEGREVLEX
 
-    def __init__(self, generators, order=LOCAL_ANTIDEGREVLEX):
+    def __init__(self, generators):
         generators = tuple(g for g in generators if not g.is_zero())
         if not generators:
             raise ValueError("need at least one nonzero generator")
@@ -81,7 +88,6 @@ class IdealGens:
             if g.variables != variables:
                 raise ValueError("generators use different variable lists")
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "order", order)
 
     @property
     def variables(self):
@@ -95,7 +101,6 @@ class StandardBasis:
 
     elements: tuple[Polynomial, ...]
     leading_monomials: tuple[Exponents, ...]
-    order: MonomialOrder
     lifts: tuple[tuple[Polynomial, ...], ...]
 
 
@@ -103,12 +108,6 @@ def ecart(p: Polynomial, order: MonomialOrder) -> int:
     """Total degree spread between p and its leading monomial."""
     lead, _ = p.leading(order)
     return p.degree() - monomial_degree(lead)
-
-
-def _require_local(order: MonomialOrder):
-    if not order.is_local:
-        raise ValueError("this computation requires the local order "
-                         "(LOCAL_ANTIDEGREVLEX)")
 
 
 class _Budget:
@@ -121,33 +120,38 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise IterationLimitError(
-                "reduction step cap exceeded; raise step_limit if the input "
-                "is legitimately this large")
+                "reduction step budget exhausted; the input is too large "
+                "for an exact local standard basis")
 
 
-def _mora(p, basis, order, budget):
-    """Weak normal form of p against ``basis`` (list of Polynomial).
+def _times(row, exps, coeff):
+    return tuple(p.mul_term(exps, coeff) for p in row)
 
-    Returns (unit, cofactors list over basis, remainder).
+
+def _minus(row, other):
+    return tuple(p - q for p, q in zip(row, other))
+
+
+def _primitive(row):
+    """The row scaled by the primitive factor of its first entry."""
+    scale = row[0].primitive_factor()
+    return row if scale == 1 else tuple(p.scaled(scale) for p in row)
+
+
+def _mora(row, basis, budget):
+    """Weak normal form of ``row[0]`` against the first entries of the
+    ``basis`` rows, with every step applied to the whole row.
+
+    The returned row r satisfies u * row[0] = sum(q_k * basis_k[0]) + r[0]
+    for some unit u and polynomials q_k, and r[0] is primitive or zero.
     """
-    variables = p.variables
-    zero = Polynomial.zero(variables)
-    n = len(basis)
-
-    # reducer pool entries: (poly, lead exps, lead coeff, ecart, unit part,
-    # cofactor list); invariant for entry X: X = u_X * p - sum q_X,i basis_i
-    pool = []
-    for j, g in enumerate(basis):
-        lead, lc = g.leading(order)
-        q = [zero] * n
-        q[j] = Polynomial.constant(variables, -1)
-        pool.append((g, lead, lc, ecart(g, order), zero, q))
-
-    unit = Polynomial.constant(variables, 1)
-    cof = [zero] * n
-    h = p
-    while not h.is_zero():
-        lead_h, lc_h = h.leading(order)
+    # reducer pool entries: (row, lead exps, lead coeff, ecart)
+    pool = [(b, *b[0].leading(LOCAL_ANTIDEGREVLEX),
+             ecart(b[0], LOCAL_ANTIDEGREVLEX)) for b in basis]
+    h = row
+    while not h[0].is_zero():
+        h = _primitive(h)
+        lead_h, lc_h = h[0].leading(LOCAL_ANTIDEGREVLEX)
         best = None
         best_key = None
         for idx, entry in enumerate(pool):
@@ -158,90 +162,50 @@ def _mora(p, basis, order, budget):
         if best is None:
             break
         budget.spend()
-        ec_h = h.degree() - monomial_degree(lead_h)
+        ec_h = h[0].degree() - monomial_degree(lead_h)
         if best[3] > ec_h:
-            pool.append((h, lead_h, lc_h, ec_h, unit, list(cof)))
-        t_exps = monomial_div(lead_h, best[1])
-        t_coeff = lc_h / best[2]
-        h = h - best[0].mul_term(t_exps, t_coeff)
-        unit = unit - best[4].mul_term(t_exps, t_coeff)
-        cof = [c - q.mul_term(t_exps, t_coeff) for c, q in zip(cof, best[5])]
-        if not h.is_zero():
-            scale = h.primitive_factor()
-            if scale != 1:
-                h = h.scaled(scale)
-                unit = unit.scaled(scale)
-                cof = [c.scaled(scale) for c in cof]
-    return unit, cof, h
+            pool.append((h, lead_h, lc_h, ec_h))
+        h = _minus(h, _times(best[0], monomial_div(lead_h, best[1]),
+                             lc_h / best[2]))
+    return h
 
 
-def _spoly(f, g, order):
-    lead_f, lc_f = f.leading(order)
-    lead_g, lc_g = g.leading(order)
-    both = monomial_lcm(lead_f, lead_g)
-    a = f.mul_term(monomial_div(both, lead_f), Fraction(1) / lc_f)
-    b = g.mul_term(monomial_div(both, lead_g), Fraction(1) / lc_g)
-    return a - b
-
-
-def standard_basis(gens: IdealGens,
-                   step_limit: int = DEFAULT_STEP_LIMIT) -> StandardBasis:
-    """Buchberger-style completion with Mora normal form and lift tracking."""
-    _require_local(gens.order)
-    order = gens.order
-    variables = gens.variables
-    zero = Polynomial.zero(variables)
-    budget = _Budget(step_limit)
-
-    basis: list[Polynomial] = []
-    lifts: list[list[Polynomial]] = []
-    n = len(gens.generators)
-    for j, g in enumerate(gens.generators):
-        scale = g.primitive_factor()
-        basis.append(g.scaled(scale))
-        row = [zero] * n
-        row[j] = Polynomial.constant(variables, scale)
-        lifts.append(row)
-
+def _complete(rows):
+    """Standard basis rows of the ideal of the rows' first entries."""
+    budget = _Budget(DEFAULT_STEP_LIMIT)
+    basis = [_primitive(row) for row in rows]
+    leads = [row[0].leading(LOCAL_ANTIDEGREVLEX) for row in basis]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop(0)
-        lead_i, _ = basis[i].leading(order)
-        lead_j, _ = basis[j].leading(order)
-        if monomial_lcm(lead_i, lead_j) == monomial_mul(lead_i, lead_j):
+        (lead_i, lc_i), (lead_j, lc_j) = leads[i], leads[j]
+        both = monomial_lcm(lead_i, lead_j)
+        if both == monomial_mul(lead_i, lead_j):
             continue  # product criterion
-        s = _spoly(basis[i], basis[j], order)
-        if s.is_zero():
+        s = _minus(_times(basis[i], monomial_div(both, lead_i), 1 / lc_i),
+                   _times(basis[j], monomial_div(both, lead_j), 1 / lc_j))
+        rem = _mora(s, basis, budget)
+        if rem[0].is_zero():
             continue
-        unit, cof, rem = _mora(s, basis, order, budget)
-        if rem.is_zero():
-            continue
-        # lift of rem: rem = unit*s - sum cof_k basis_k, and s is itself an
-        # exact combination of basis[i], basis[j]
-        lead_f, lc_f = basis[i].leading(order)
-        lead_g, lc_g = basis[j].leading(order)
-        both = monomial_lcm(lead_f, lead_g)
-        lift_s = [
-            li.mul_term(monomial_div(both, lead_f), Fraction(1) / lc_f)
-            - lj.mul_term(monomial_div(both, lead_g), Fraction(1) / lc_g)
-            for li, lj in zip(lifts[i], lifts[j])
-        ]
-        lift_rem = [unit * ls for ls in lift_s]
-        for k, q in enumerate(cof):
-            if q.is_zero():
-                continue
-            lift_rem = [lr - q * lk for lr, lk in zip(lift_rem, lifts[k])]
-        scale = rem.primitive_factor()
-        rem = rem.scaled(scale)
-        lift_rem = [lr.scaled(scale) for lr in lift_rem]
         new_index = len(basis)
         basis.append(rem)
-        lifts.append(lift_rem)
         pairs.extend((k, new_index) for k in range(new_index))
+        leads.append(rem[0].leading(LOCAL_ANTIDEGREVLEX))
+    return basis
 
-    leading = tuple(b.leading(order)[0] for b in basis)
-    return StandardBasis(tuple(basis), leading, order,
-                         tuple(tuple(row) for row in lifts))
+
+def standard_basis(gens: IdealGens) -> StandardBasis:
+    """Buchberger-style completion with Mora normal form and lift tracking."""
+    n = len(gens.generators)
+    zero = Polynomial.zero(gens.variables)
+    one = Polynomial.constant(gens.variables, 1)
+    basis = _complete([(g,) + tuple(one if k == j else zero for k in range(n))
+                       for j, g in enumerate(gens.generators)])
+    elements = tuple(row[0] for row in basis)
+    return StandardBasis(elements,
+                         tuple(p.leading(LOCAL_ANTIDEGREVLEX)[0]
+                               for p in elements),
+                         tuple(row[1:] for row in basis))
 
 
 def minimalize_monomials(monomials) -> list[Exponents]:
@@ -272,53 +236,52 @@ def _staircase_count(leads: list[Exponents], nvars: int):
     return count
 
 
-def quotient_dim(gens: IdealGens, step_limit: int = DEFAULT_STEP_LIMIT):
+def quotient_dim(gens: IdealGens):
     """Vector-space dimension of O_{m,0} / <gens>, or INFINITE.
 
     Finite exactly when the leading ideal contains a pure power of every
     variable; the value is then the number of staircase monomials.
     """
-    sb = standard_basis(gens, step_limit=step_limit)
-    leads = minimalize_monomials(sb.leading_monomials)
+    basis = _complete([(g,) for g in gens.generators])
+    leads = minimalize_monomials(
+        row[0].leading(LOCAL_ANTIDEGREVLEX)[0] for row in basis)
     return _staircase_count(leads, len(gens.variables))
 
 
-def membership_with_cofactors(p: Polynomial, gens: IdealGens,
-                              step_limit: int = DEFAULT_STEP_LIMIT):
-    """Certified membership of p in the local ideal of ``gens``.
+def membership_with_cofactors(targets, gens: IdealGens):
+    """Certified membership of each target polynomial in the local ideal
+    of ``gens``, all against one standard basis.
 
-    Returns (unit, cofactors) with unit * p = sum(cofactors_i * gens_i)
-    exactly and unit(0) != 0, or raises NotMemberError.
+    Returns one (unit, cofactors) pair per target, with
+    unit * p = sum(cofactors_i * gens_i) exactly and unit(0) = 1, or raises
+    NotMemberError whose ``index`` is the first target outside the ideal.
     """
-    _require_local(gens.order)
-    if p.is_zero():
-        one = Polynomial.constant(gens.variables, 1)
-        zero = Polynomial.zero(gens.variables)
-        return one, tuple(zero for _ in gens.generators)
-    budget = _Budget(step_limit)
-    sb = standard_basis(gens, step_limit=step_limit)
-    unit, cof, rem = _mora(p, list(sb.elements), gens.order, budget)
-    if not rem.is_zero():
-        raise NotMemberError(
-            f"{p} is not in the local ideal (normal form {rem})")
-    n = len(gens.generators)
-    out = [Polynomial.zero(gens.variables) for _ in range(n)]
-    for q, lift_row in zip(cof, sb.lifts):
-        if q.is_zero():
-            continue
-        for j in range(n):
-            if not lift_row[j].is_zero():
-                out[j] = out[j] + q * lift_row[j]
-    # normalize so the unit has constant term 1
-    scale = Fraction(1) / unit.constant_term
-    unit = unit.scaled(scale)
-    out = [c.scaled(scale) for c in out]
-    check = unit * p
-    for c, g in zip(out, gens.generators):
-        check = check - c * g
-    if not check.is_zero() or not unit.constant_term:
-        raise InternalCheckError("membership certificate failed to re-expand")
-    return unit, tuple(out)
+    zero = Polynomial.zero(gens.variables)
+    start = ((Polynomial.constant(gens.variables, 1),)
+             + (zero,) * len(gens.generators))
+    sb = standard_basis(gens)
+    # rows (p, unit, cofactors) with p = unit * target + sum(cofactor_j * g_j)
+    basis = [(b, zero) + lift for b, lift in zip(sb.elements, sb.lifts)]
+    budget = _Budget(DEFAULT_STEP_LIMIT)
+    certificates = []
+    for index, p in enumerate(targets):
+        rem = _mora((p,) + start, basis, budget)
+        if not rem[0].is_zero():
+            raise NotMemberError(
+                f"target {index}: {p} is not in the local ideal "
+                f"(normal form {rem[0]})", index)
+        # 0 = u * p + sum(c_j * g_j); normalize so the unit is 1 at 0
+        scale = Fraction(1) / rem[1].constant_term
+        unit = rem[1].scaled(scale)
+        cofactors = tuple(c.scaled(-scale) for c in rem[2:])
+        check = unit * p
+        for c, g in zip(cofactors, gens.generators):
+            check = check - c * g
+        if not check.is_zero():
+            raise InternalCheckError(
+                "membership certificate failed to re-expand")
+        certificates.append((unit, cofactors))
+    return tuple(certificates)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from gsvkit.errors import (
     InfiniteDimensionError,
     NotInvariantError,
 )
-from gsvkit import indices
+from gsvkit import indices, localring
 from gsvkit.indices import (
     CurveGerm,
     VectorFieldGerm,
@@ -229,6 +229,23 @@ def test_is_quasihomogeneous_computes_tau_once(monkeypatch):
     f = parse_polynomial("x^4 + y^5 + x^2*y^3", XY)
     assert not is_quasihomogeneous(CurveGerm((f,)))
     assert len(calls) == 1
+
+
+def test_local_gsv_builds_one_tracked_basis(monkeypatch):
+    # the tangency certificate checks all r rows against one tracked
+    # standard basis; the colengths run on bare rows and build none
+    calls = []
+    original = localring.standard_basis
+
+    def counting(ideal):
+        calls.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(localring, "standard_basis", counting)
+    g = germ(*CUSP_GERM)
+    report = local_gsv_curve(g, field(*CUSP_FIELD))
+    assert report.tau == 2
+    assert calls == [IdealGens(g.equations)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,21 @@ import random
 
 import pytest
 
+from gsvkit import localring
 from gsvkit.errors import IterationLimitError, NotMemberError
 from gsvkit.localring import (
     INFINITE,
     IdealGens,
     _Budget,
     _mora,
+    _staircase_count,
     membership_with_cofactors,
     minimalize_monomials,
     quotient_dim,
     quotient_dim_macaulay,
     standard_basis,
 )
-from gsvkit.poly import (
-    GLOBAL_DEGREVLEX,
-    LOCAL_ANTIDEGREVLEX,
-    Polynomial,
-    parse_polynomial,
-)
+from gsvkit.poly import Polynomial, parse_polynomial
 
 X1 = ("x",)
 X2 = ("x", "y")
@@ -41,8 +38,19 @@ def gens(*texts, variables=X3):
 # Mora normal form
 
 def mora(p, g, steps=10 ** 6):
-    """(unit, cofactors, remainder) of _mora against g's generators."""
-    return _mora(p, list(g.generators), LOCAL_ANTIDEGREVLEX, _Budget(steps))
+    """(unit, cofactors, remainder) of _mora against g's generators, read
+    off rows (h, u, c_1..c_n) with h = u * p + sum(c_i * g_i): the dividend
+    row is (p, 1, 0..0) and generator i has the row (g_i, 0, e_i)."""
+    n = len(g.generators)
+    zero = Polynomial.zero(p.variables)
+
+    def column(i):
+        return Polynomial.constant(p.variables, i)
+
+    basis = [(gen, zero) + tuple(column(int(k == i)) for k in range(n))
+             for i, gen in enumerate(g.generators)]
+    row = _mora((p, column(1)) + (zero,) * n, basis, _Budget(steps))
+    return row[1], [-c for c in row[2:]], row[0]
 
 
 def reexpands(p, g, unit, cof, rem):
@@ -209,26 +217,39 @@ def test_quotient_dim_invertible_linear_parts():
         assert quotient_dim(IdealGens(tuple(generators))) == 1
 
 
+def test_quotient_dim_builds_no_lifts(monkeypatch):
+    # the dimension path completes bare rows; it never asks for the lifts
+    # that standard_basis tracks
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_dim must not build a tracked basis")
+
+    monkeypatch.setattr(localring, "standard_basis", refuse)
+    assert quotient_dim(gens("x^2", "y^3", variables=X2)) == 6
+    assert quotient_dim(gens("x1 - x2^3", "x3^2 - x1", "x2*x3")) == 5
+    assert quotient_dim(gens("x", variables=X2)) is INFINITE
+
+
 # ---------------------------------------------------------------------------
 # membership with certificates
 
 def test_membership_first_row():
-    unit, cof = membership_with_cofactors(
-        P("6*x1 - 6*x2^3"), gens("x1 - x2^3", "x3^2 - x1"))
+    [(unit, cof)] = membership_with_cofactors(
+        [P("6*x1 - 6*x2^3")], gens("x1 - x2^3", "x3^2 - x1"))
     assert unit == P("1")
     assert cof == (P("6"), P("0"))
 
 
 def test_membership_second_row():
-    unit, cof = membership_with_cofactors(
-        P("6*x3^2 - 6*x1"), gens("x1 - x2^3", "x3^2 - x1"))
+    [(unit, cof)] = membership_with_cofactors(
+        [P("6*x3^2 - 6*x1")], gens("x1 - x2^3", "x3^2 - x1"))
     assert unit == P("1")
     assert cof == (P("0"), P("6"))
 
 
 def test_membership_rejects_nonmember():
-    with pytest.raises(NotMemberError):
-        membership_with_cofactors(P("1"), gens("x1 - x2^3", "x3^2 - x1"))
+    with pytest.raises(NotMemberError) as caught:
+        membership_with_cofactors([P("1")], gens("x1 - x2^3", "x3^2 - x1"))
+    assert caught.value.index == 0
 
 
 def test_membership_needs_standard_basis_detour():
@@ -237,7 +258,7 @@ def test_membership_needs_standard_basis_detour():
     # through the completed basis
     g = gens("x1 - x2^3", "x3^2 - x1")
     target = P("x3^2 - x2^3")
-    unit, cof = membership_with_cofactors(target, g)
+    [(unit, cof)] = membership_with_cofactors([target], g)
     acc = unit * target
     for c, generator in zip(cof, g.generators):
         acc = acc - c * generator
@@ -245,8 +266,33 @@ def test_membership_needs_standard_basis_detour():
     assert unit.constant_term
 
 
+def test_membership_many_targets_one_basis(monkeypatch):
+    g = gens("x1 - x2^3", "x3^2 - x1")
+    targets = [P("6*x1 - 6*x2^3"), P("x3^2 - x2^3"), P("6*x3^2 - 6*x1")]
+    calls = []
+    original = localring.standard_basis
+
+    def counting(ideal):
+        calls.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(localring, "standard_basis", counting)
+    certificates = membership_with_cofactors(targets, g)
+    assert len(calls) == 1
+    assert certificates[0] == (P("1"), (P("6"), P("0")))
+    assert certificates[2] == (P("1"), (P("0"), P("6")))
+    for target, (unit, cof) in zip(targets, certificates):
+        acc = unit * target
+        for c, generator in zip(cof, g.generators):
+            acc = acc - c * generator
+        assert acc.is_zero()
+    with pytest.raises(NotMemberError) as caught:
+        membership_with_cofactors(targets[:2] + [P("x2")], g)
+    assert caught.value.index == 2
+
+
 def test_membership_zero_is_member():
-    unit, cof = membership_with_cofactors(P("0"), gens("x1", "x2"))
+    [(unit, cof)] = membership_with_cofactors([P("0")], gens("x1", "x2"))
     assert unit == P("1")
     assert all(c.is_zero() for c in cof)
 
@@ -302,6 +348,10 @@ def test_oracle_agrees_on_randomized_ideals():
         assert staircase is not INFINITE
         assert staircase <= 30
         assert quotient_dim_macaulay(ideal) == staircase
+        # tracked rows (standard_basis) and bare rows (quotient_dim) reach
+        # the same leading ideal
+        leads = minimalize_monomials(standard_basis(ideal).leading_monomials)
+        assert _staircase_count(leads, len(ideal.variables)) == staircase
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +365,3 @@ def test_idealgens_drops_zero_generators():
 def test_idealgens_rejects_all_zero():
     with pytest.raises(ValueError):
         IdealGens((P("0"),))
-
-
-def test_local_order_required():
-    g = IdealGens((P("x1"),), order=GLOBAL_DEGREVLEX)
-    with pytest.raises(ValueError):
-        membership_with_cofactors(P("x1"), g)
-    with pytest.raises(ValueError):
-        standard_basis(g)
