@@ -38,15 +38,7 @@ from .localring import (
     quotient_dim_macaulay,
     standard_basis,
 )
-from .poly import (
-    GLOBAL_DEGREVLEX,
-    LOCAL_ANTIDEGREVLEX,
-    MonomialOrder,
-    Polynomial,
-    jacobian_minors,
-    parse_polynomial,
-    translate_to_origin,
-)
+from .poly import Polynomial, jacobian_minors, parse_polynomial
 from .projective import (
     PointOnChart,
     ProjectiveCI,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 
 class GradedRing:
@@ -329,14 +329,7 @@ def elementary_symmetric(l: int, ks) -> int:
     if l > len(ks):
         return 0
     return sum(
-        _prod(combo) for combo in itertools.combinations(ks, l))
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+        prod(combo) for combo in itertools.combinations(ks, l))
 
 
 def projective_tangent_chern(ring: GradedRing, m: int) -> ChernVector:

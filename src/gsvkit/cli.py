@@ -457,9 +457,12 @@ def _run_bounds(job: JobSpec):
     m, r, tau = job.ambient, job.parameters["r"], job.parameters["tau"]
     try:
         constants = nondegenerate_bound_constants(m, r)
-        lo, hi = gsv_bounds_nondegenerate(m, r, tau)
     except ValueError as exc:
         raise JobFileError(f"[parameters] r: {exc}") from None
+    try:
+        lo, hi = gsv_bounds_nondegenerate(m, r, tau)
+    except ValueError as exc:
+        raise JobFileError(f"[parameters] tau: {exc}") from None
     results = {
         "lo": lo, "hi": hi,
         "eps_r": constants.eps_r, "alpha": constants.alpha,
@@ -494,12 +497,12 @@ def _run_bounds(job: JobSpec):
 def _run_poincare(job: JobSpec):
     _need(job.ambient is not None, "[job] ambient: required")
     m = job.ambient
-    ks, d = _grid_inputs(job)
+    ks, ks_field, d = _grid_inputs(job)
     anomalies = []
     try:
         rep = poincare_degree_bound(m, ks, d)
     except ValueError as exc:
-        raise JobFileError(f"[curve] multidegree: {exc}") from None
+        raise JobFileError(f"{ks_field}: {exc}") from None
     results: dict = {
         "gsv": rep.gsv, "degree_sum": rep.degree_sum, "bound": rep.bound,
         "inequality_holds": rep.inequality_holds,
@@ -509,47 +512,51 @@ def _run_poincare(job: JobSpec):
     if not rep.equivalence_ok:
         anomalies.append("degree-bound/index-sign equivalence failed")
     milnors = job.parameters.get("milnors")
-    if milnors is not None:
-        t4 = milnor_degree_bound(m, ks, d, milnors)
-        results["milnor_bound"] = {"lhs": t4.lhs, "rhs": t4.rhs,
-                                   "holds": t4.holds}
-        if not t4.holds:
-            anomalies.append("Milnor-weighted degree bound failed")
-    if m == 2:
-        s9 = soares_plane_bound(ks[0], d, milnors or [])
-        results["plane_bound"] = {"lhs": s9.lhs, "rhs": s9.rhs,
-                                  "holds": s9.holds}
-        if s9.note:
-            anomalies.append(s9.note)
+    try:
+        if milnors is not None:
+            t4 = milnor_degree_bound(m, ks, d, milnors)
+            results["milnor_bound"] = {"lhs": t4.lhs, "rhs": t4.rhs,
+                                       "holds": t4.holds}
+            if not t4.holds:
+                anomalies.append("Milnor-weighted degree bound failed")
+        if m == 2:
+            s9 = soares_plane_bound(ks[0], d, milnors or [])
+            results["plane_bound"] = {"lhs": s9.lhs, "rhs": s9.rhs,
+                                      "holds": s9.holds}
+            if s9.note:
+                anomalies.append(s9.note)
+    except ValueError as exc:
+        raise JobFileError(f"[parameters] milnors: {exc}") from None
     return results, anomalies, None
 
 
 def _grid_inputs(job: JobSpec):
-    """(multidegree, foliation degree) for the arithmetic-only modes."""
+    """(multidegree, the field it came from, foliation degree) for the
+    arithmetic-only modes, each value checked under its own field name."""
     if job.curve is not None:
-        ks = list(job.curve.multidegree)
+        ks, ks_field = list(job.curve.multidegree), "[curve] multidegree"
     elif "k" in job.parameters:
-        ks = [job.parameters["k"]]
+        ks, ks_field = [job.parameters["k"]], "[parameters] k"
     else:
         raise JobFileError("[curve] multidegree or [parameters] k: required")
-    if job.foliation is not None:
-        d = job.foliation.d
-    elif job.foliation_degree is not None:
-        d = job.foliation_degree
+    if job.foliation_degree is not None:
+        d, d_field = job.foliation_degree, "[foliation] degree"
     elif "degree" in job.parameters:
-        d = job.parameters["degree"]
+        d, d_field = job.parameters["degree"], "[parameters] degree"
     else:
         raise JobFileError(
             "[foliation] degree or [parameters] degree: required")
-    return ks, d
+    _need(all(k >= 1 for k in ks), f"{ks_field}: curve degrees must be positive")
+    _need(d >= 0, f"{d_field}: foliation degree must be non-negative")
+    return ks, ks_field, d
 
 
 def _run_chern_check(job: JobSpec):
     _need(job.ambient is not None, "[job] ambient: required")
     m = job.ambient
-    ks, d = _grid_inputs(job)
+    ks, ks_field, d = _grid_inputs(job)
     r = len(ks)
-    _need(1 <= r <= m - 1, "[curve] multidegree: need 1 <= r <= m-1 entries")
+    _need(1 <= r <= m - 1, f"{ks_field}: need 1 <= r <= m-1 entries")
     anomalies = []
     names = {f"a{t}": t for t in range(1, m + 1)}
     names.update({f"b{t}": t for t in range(1, m + 1)})
@@ -565,7 +572,7 @@ def _run_chern_check(job: JobSpec):
         integral = total_gsv_integral_projective(m, ks, d)
         closed = closed_form_gsv(m, ks, d)
     except ValueError as exc:
-        raise JobFileError(f"[curve] multidegree: {exc}") from None
+        raise JobFileError(f"{ks_field}: {exc}") from None
     if integral != closed:
         anomalies.append(
             f"integral {integral} != combinatorial closed form {closed}")

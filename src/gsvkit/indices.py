@@ -143,8 +143,8 @@ class HMatrix:
 def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
     """Certify tangency of v to the germ, or raise NotInvariantError.
 
-    Row i certifies unit_i * df_i(v) = sum_j h_ij * f_j; any exactly
-    verified certificate is accepted (the matrix is not unique).
+    Row i certifies unit_i * df_i(v) = sum_j h_ij * f_j, exactly checked
+    by ``membership_with_cofactors``; the matrix is not unique.
     """
     if germ.variables != v.variables:
         raise ValueError("germ and field use different variable lists")
@@ -153,11 +153,8 @@ def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
         rows = membership_with_cofactors(targets, IdealGens(germ.equations))
     except NotMemberError as err:
         raise NotInvariantError(err.index) from None
-    matrix = HMatrix(tuple(MembershipCertificate(unit, cofactors)
-                           for unit, cofactors in rows))
-    if not matrix.verify(germ, v):
-        raise InternalCheckError("invariance certificate failed to re-expand")
-    return matrix
+    return HMatrix(tuple(MembershipCertificate(unit, cofactors)
+                         for unit, cofactors in rows))
 
 
 def germ_ideals(germ: CurveGerm, field: VectorFieldGerm | None = None, *,
@@ -338,18 +335,10 @@ class BoundConstants:
     alpha: int
     binom: int
     rho_range_max: int
-
-    @property
-    def beta_as_stated(self) -> int:
-        """The published closed form alpha + (-1)^(m-r-1) * binom.
-
-        It disagrees with the bound actually proved (which is eps_r);
-        surfaced for reports.  Reconstructing needs the parity, so this is
-        stored at construction time.
-        """
-        return self._beta
-
-    _beta: int = 0
+    # the published closed form alpha + (-1)^(m-r-1) * binom; it disagrees
+    # with the bound actually proved (which is eps_r) and is surfaced for
+    # reports.  Reconstructing it needs the parity, so it is stored here.
+    beta_as_stated: int
 
 
 def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
@@ -366,7 +355,7 @@ def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
     binom = comb(m - 2, m - r - 1)
     beta = alpha + (-1) ** (m - r - 1) * binom
     constants = BoundConstants(eps_r=eps, alpha=alpha, binom=binom,
-                               rho_range_max=binom, _beta=beta)
+                               rho_range_max=binom, beta_as_stated=beta)
     if r < m - 1 and alpha - eps != (-1) ** (m - r - 1) * binom:
         raise InternalCheckError("alpha - eps_r parity identity failed")
     return constants

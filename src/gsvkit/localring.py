@@ -1,8 +1,11 @@
 """Standard bases and quotient dimensions in the local ring at the origin.
 
-All computations use the local order LOCAL_ANTIDEGREVLEX.  They work on
-rows: a row is a tuple ``(polynomial, *bookkeeping)`` whose entries all
-undergo the same linear steps, so an invariant linear in the row, such as
+All computations use one local order, anti-degree reverse-lexicographic
+(Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.2):
+lower total degree ranks larger, ties are broken reverse-lexicographically,
+so the constant monomial 1 beats every other monomial.  They work on rows:
+a row is a tuple ``(polynomial, *bookkeeping)`` whose entries all undergo
+the same linear steps, so an invariant linear in the row, such as
 ``row[0] = sum(row[1 + j] * g_j)`` over some fixed generators g_j, holds
 for every row derived from rows that satisfy it.  Division is Mora's weak
 normal form with ecart-controlled divisor selection, which terminates for
@@ -35,9 +38,7 @@ from .errors import (
     NotMemberError,
 )
 from .poly import (
-    LOCAL_ANTIDEGREVLEX,
     Exponents,
-    MonomialOrder,
     Polynomial,
     monomial_degree,
     monomial_div,
@@ -104,10 +105,15 @@ class StandardBasis:
     lifts: tuple[tuple[Polynomial, ...], ...]
 
 
-def ecart(p: Polynomial, order: MonomialOrder) -> int:
-    """Total degree spread between p and its leading monomial."""
-    lead, _ = p.leading(order)
-    return p.degree() - monomial_degree(lead)
+def _local_key(exps: Exponents):
+    """Sort key of the local order: larger key means larger monomial."""
+    return -sum(exps), tuple(-e for e in reversed(exps))
+
+
+def _leading(p: Polynomial) -> tuple[Exponents, Fraction]:
+    """(exponents, coefficient) of the leading term of a nonzero p."""
+    exps = max(p.terms, key=_local_key)
+    return exps, p.terms[exps]
 
 
 class _Budget:
@@ -145,13 +151,16 @@ def _mora(row, basis, budget):
     The returned row r satisfies u * row[0] = sum(q_k * basis_k[0]) + r[0]
     for some unit u and polynomials q_k, and r[0] is primitive or zero.
     """
-    # reducer pool entries: (row, lead exps, lead coeff, ecart)
-    pool = [(b, *b[0].leading(LOCAL_ANTIDEGREVLEX),
-             ecart(b[0], LOCAL_ANTIDEGREVLEX)) for b in basis]
+    # reducer pool entries: (row, lead exps, lead coeff, ecart), where the
+    # ecart is the total degree spread between a row and its leading term
+    pool = []
+    for b in basis:
+        lead, lc = _leading(b[0])
+        pool.append((b, lead, lc, b[0].degree() - monomial_degree(lead)))
     h = row
     while not h[0].is_zero():
         h = _primitive(h)
-        lead_h, lc_h = h[0].leading(LOCAL_ANTIDEGREVLEX)
+        lead_h, lc_h = _leading(h[0])
         best = None
         best_key = None
         for idx, entry in enumerate(pool):
@@ -174,7 +183,7 @@ def _complete(rows):
     """Standard basis rows of the ideal of the rows' first entries."""
     budget = _Budget(DEFAULT_STEP_LIMIT)
     basis = [_primitive(row) for row in rows]
-    leads = [row[0].leading(LOCAL_ANTIDEGREVLEX) for row in basis]
+    leads = [_leading(row[0]) for row in basis]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop(0)
@@ -190,7 +199,7 @@ def _complete(rows):
         new_index = len(basis)
         basis.append(rem)
         pairs.extend((k, new_index) for k in range(new_index))
-        leads.append(rem[0].leading(LOCAL_ANTIDEGREVLEX))
+        leads.append(_leading(rem[0]))
     return basis
 
 
@@ -203,8 +212,7 @@ def standard_basis(gens: IdealGens) -> StandardBasis:
                        for j, g in enumerate(gens.generators)])
     elements = tuple(row[0] for row in basis)
     return StandardBasis(elements,
-                         tuple(p.leading(LOCAL_ANTIDEGREVLEX)[0]
-                               for p in elements),
+                         tuple(_leading(p)[0] for p in elements),
                          tuple(row[1:] for row in basis))
 
 
@@ -243,8 +251,7 @@ def quotient_dim(gens: IdealGens):
     variable; the value is then the number of staircase monomials.
     """
     basis = _complete([(g,) for g in gens.generators])
-    leads = minimalize_monomials(
-        row[0].leading(LOCAL_ANTIDEGREVLEX)[0] for row in basis)
+    leads = minimalize_monomials(_leading(row[0])[0] for row in basis)
     return _staircase_count(leads, len(gens.variables))
 
 

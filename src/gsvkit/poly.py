@@ -5,18 +5,14 @@ tuples to nonzero ``Fraction`` coefficients.  Everything is immutable by
 convention: arithmetic returns fresh objects and never mutates inputs, so
 values are safe to share across concurrent computations.
 
-Two term orders are provided.  ``GLOBAL_DEGREVLEX`` is the usual
-degree-reverse-lexicographic well-order.  ``LOCAL_ANTIDEGREVLEX`` ranks
-lower total degree as larger (ties broken reverse-lexicographically), so
-the constant monomial 1 beats every other monomial; it is the order under
-which leading terms, division and quotient dimensions acquire their
-local-ring meaning.
+Printing lists the terms in degree-reverse-lexicographic order.  The local
+order under which leading terms, division and quotient dimensions are
+taken lives in ``localring``, its only user.
 """
 
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -54,23 +50,9 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class MonomialOrder(Enum):
-    GLOBAL_DEGREVLEX = "degrevlex"
-    LOCAL_ANTIDEGREVLEX = "antidegrevlex"
-
-    @property
-    def is_local(self) -> bool:
-        return self is MonomialOrder.LOCAL_ANTIDEGREVLEX
-
-    def key(self, exps: Exponents):
-        """Sort key: larger key means larger monomial in this order."""
-        deg = sum(exps)
-        rev = tuple(-e for e in reversed(exps))
-        return (-deg, rev) if self.is_local else (deg, rev)
-
-
-GLOBAL_DEGREVLEX = MonomialOrder.GLOBAL_DEGREVLEX
-LOCAL_ANTIDEGREVLEX = MonomialOrder.LOCAL_ANTIDEGREVLEX
+def _print_key(exps: Exponents):
+    """Degrevlex sort key for printing: larger key is printed first."""
+    return sum(exps), tuple(-e for e in reversed(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +142,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def leading(self, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-        """(exponents, coefficient) of the largest term under ``order``."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
-
-    def sorted_terms(self, order: MonomialOrder = GLOBAL_DEGREVLEX):
-        """Terms as (exponents, coeff) pairs, descending in ``order``."""
-        return [(e, self.terms[e]) for e in
-                sorted(self.terms, key=order.key, reverse=True)]
 
     def _require_same_variables(self, other: "Polynomial"):
         if self.variables != other.variables:
@@ -375,7 +345,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms(GLOBAL_DEGREVLEX):
+        for exps in sorted(self.terms, key=_print_key, reverse=True):
+            coeff = self.terms[exps]
             factors = []
             for name, e in zip(self.variables, exps):
                 if e == 1:
@@ -448,11 +419,6 @@ def jacobian_minors(polys) -> list[Polynomial]:
     for cols in itertools.combinations(range(m), r):
         out.append(poly_det([[row[c] for c in cols] for row in jac]))
     return out
-
-
-def translate_to_origin(p: Polynomial, point) -> Polynomial:
-    """p(x + point); evaluating the result at 0 gives p(point)."""
-    return p.translate(point)
 
 
 # ---------------------------------------------------------------------------

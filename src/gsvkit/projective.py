@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .cherncalc import compositions, elementary_symmetric
 from .errors import DuplicatePointError, GsvkitError, PointNotOnCurveError
@@ -187,14 +187,10 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
             for i in range(1, j + 1):
                 sign = (-1) ** i
                 for parts in compositions(j, i):
-                    prod = 1
-                    for l in parts:
-                        prod *= elementary_symmetric(l, ks)
-                    coeff += sign * comb(m + 1, t - j) * prod
+                    coeff += sign * comb(m + 1, t - j) * prod(
+                        elementary_symmetric(l, ks) for l in parts)
         total += coeff * (d - 1) ** (m - r - t)
-    for k in ks:
-        total *= k
-    return total
+    return total * prod(ks)
 
 
 @dataclass(frozen=True)
@@ -240,11 +236,9 @@ def milnor_degree_bound(m: int, ks, d: int, milnor_list) -> InequalityReport:
         raise ValueError("need a multidegree of length m-1")
     if any(mu < 1 for mu in milnor_list):
         raise ValueError("each listed singular point needs mu >= 1")
-    prod = 1
-    for k in ks:
-        prod *= k
-    lhs = prod * (sum(ks) - m) - sum(mu - 1 for mu in milnor_list)
-    rhs = d * prod
+    prod_k = prod(ks)
+    lhs = prod_k * (sum(ks) - m) - sum(mu - 1 for mu in milnor_list)
+    rhs = d * prod_k
     return InequalityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 

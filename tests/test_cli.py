@@ -155,8 +155,7 @@ def test_poincare_mode(tmp_path, capsys):
     assert results["milnor_bound"] == {"lhs": 6, "rhs": 6, "holds": True}
 
 
-def test_poincare_parameters_only(tmp_path, capsys):
-    job = """
+PLANE_POINCARE_JOB = """
 [job]
 mode = poincare
 ambient = 2
@@ -165,8 +164,11 @@ ambient = 2
 k = 1
 degree = 3
 """
+
+
+def test_poincare_parameters_only(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "poincare", "--job",
-                           write_job(tmp_path, job), "--quiet")
+                           write_job(tmp_path, PLANE_POINCARE_JOB), "--quiet")
     assert code == 0
     results = json.loads(out)["results"]
     assert results["gsv"] == 4
@@ -418,6 +420,34 @@ def test_point_off_curve_named_field(tmp_path, capsys):
         assert code == 1
         error = json.loads(out)["error"]
         assert "equation 1 does not vanish at chart 0 point" in error, mode
+
+
+# (mode, job text, field the error must name)
+FIELD_ERRORS = [
+    ("poincare", POINCARE_JOB.replace("milnors = 2, 6", "milnors = 0, 2"),
+     "[parameters] milnors"),
+    ("poincare", PLANE_POINCARE_JOB + "milnors = 0, 2\n",
+     "[parameters] milnors"),
+    ("bounds", BOUNDS_JOB.replace("tau = 2", "tau = -1"), "[parameters] tau"),
+    ("chern-check", CHERN_JOB.replace("degree = 1", "degree = -1"),
+     "[foliation] degree"),
+    ("poincare", POINCARE_JOB.replace("degree = 1", "degree = -1"),
+     "[foliation] degree"),
+    ("poincare", PLANE_POINCARE_JOB.replace("k = 1", "k = 0"),
+     "[parameters] k"),
+    ("chern-check", PLANE_POINCARE_JOB.replace("poincare", "chern-check")
+     .replace("ambient = 2", "ambient = 3").replace("k = 1", "k = 0"),
+     "[parameters] k"),
+]
+
+
+def test_bad_values_name_their_field(tmp_path, capsys):
+    for mode, job, field in FIELD_ERRORS:
+        code, out, err = run_cli(capsys, mode, "--job",
+                                 write_job(tmp_path, job))
+        assert code == 1, (mode, field)
+        assert json.loads(out)["error"].startswith(field + ": "), (mode, field)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

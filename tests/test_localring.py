@@ -10,6 +10,8 @@ from gsvkit.localring import (
     INFINITE,
     IdealGens,
     _Budget,
+    _leading,
+    _local_key,
     _mora,
     _staircase_count,
     membership_with_cofactors,
@@ -32,6 +34,23 @@ def P(text, variables=X3):
 
 def gens(*texts, variables=X3):
     return IdealGens(tuple(P(t, variables) for t in texts))
+
+
+# ---------------------------------------------------------------------------
+# the local order
+
+def test_local_order_constant_is_largest():
+    one = (0, 0, 0)
+    for exps in [(1, 0, 0), (0, 2, 0), (1, 1, 1)]:
+        assert _local_key(one) > _local_key(exps)
+        # printing runs the other way: a degree order puts 1 last
+        assert str(Polynomial(X3, {one: 1, exps: 1})).endswith(" + 1")
+
+
+def test_local_leading_term_prefers_low_degree():
+    exps, coeff = _leading(P("x3^2 - x1"))
+    assert exps == (1, 0, 0)
+    assert coeff == -1
 
 
 # ---------------------------------------------------------------------------
