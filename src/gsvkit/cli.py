@@ -62,6 +62,10 @@ from .projective import (
 )
 
 BIGINT_THRESHOLD = 2 ** 53
+# The symbolic difference-class check over 2m Chern generators grows about
+# 2.6x per ambient dimension (m = 18 takes about 20 s); beyond this it
+# would run for minutes with no error.
+CHERN_CHECK_MAX_AMBIENT = 18
 
 
 class JobFileError(GsvkitError):
@@ -554,6 +558,8 @@ def _grid_inputs(job: JobSpec):
 def _run_chern_check(job: JobSpec):
     _need(job.ambient is not None, "[job] ambient: required")
     m = job.ambient
+    _need(m <= CHERN_CHECK_MAX_AMBIENT, "[job] ambient: chern-check supports "
+          f"ambient <= {CHERN_CHECK_MAX_AMBIENT}")
     ks, ks_field, d = _grid_inputs(job)
     r = len(ks)
     _need(1 <= r <= m - 1, f"{ks_field}: need 1 <= r <= m-1 entries")

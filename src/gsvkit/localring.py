@@ -21,6 +21,21 @@ product criterion.  Each caller chooses the row width:
                              ``unit * p = sum(cofactor_j * g_j)`` exactly
                              with the unit invertible at the origin
 
+Bare rows are completed with the highest-corner truncation
+(Greuel-Pfister 1.7; Singular's ``std`` with a ``noether`` bound).  Once
+the leading monomials L(G) of the partial basis G contain a pure power of
+every variable, let N be 1 + the top degree of their staircase.  Every
+monomial of degree N then lies in L(G), so it leads an element of I; the
+order ranks lower degree higher, so these elements span m^N modulo
+m^(N+1).  Hence m^N lies in I + m * m^N, and Nakayama's lemma gives m^N in
+I, so every term of degree >= N is itself in I.  From then on such terms
+are dropped from every S-polynomial, after every Mora step and from the
+basis rows (a row whose leading monomial has degree >= N is kept whole), and
+N is recomputed whenever an element joins the basis.  This keeps the rows of
+low degree and their coefficients small.  Tracked rows are never truncated:
+their lifts, units and cofactors must re-expand exactly, and a dropped term
+of m^N would break that identity.
+
 An independent Macaulay-matrix oracle is provided for cross-checks.
 """
 
@@ -144,12 +159,21 @@ def _primitive(row):
     return row if scale == 1 else tuple(p.scaled(scale) for p in row)
 
 
-def _mora(row, basis, budget):
+def _cut(row, corner):
+    """The bare row ``(p,)`` without the terms of p of degree >= corner."""
+    p = row[0]
+    return (Polynomial._raw(p.variables, {e: c for e, c in p.terms.items()
+                                          if monomial_degree(e) < corner}),)
+
+
+def _mora(row, basis, budget, corner=None):
     """Weak normal form of ``row[0]`` against the first entries of the
     ``basis`` rows, with every step applied to the whole row.
 
     The returned row r satisfies u * row[0] = sum(q_k * basis_k[0]) + r[0]
-    for some unit u and polynomials q_k, and r[0] is primitive or zero.
+    for some unit u and polynomials q_k, and r[0] is primitive or zero;
+    with a ``corner`` N (bare rows only) the identity holds modulo m^N and
+    r[0] has no term of degree >= N.
     """
     # reducer pool entries: (row, lead exps, lead coeff, ecart), where the
     # ecart is the total degree spread between a row and its leading term
@@ -176,16 +200,34 @@ def _mora(row, basis, budget):
             pool.append((h, lead_h, lc_h, ec_h))
         h = _minus(h, _times(best[0], monomial_div(lead_h, best[1]),
                              lc_h / best[2]))
+        if corner is not None:
+            h = _cut(h, corner)
     return h
 
 
-def _complete(rows):
-    """Standard basis rows of the ideal of the rows' first entries."""
+def _complete(rows, truncate=False):
+    """Standard basis rows of the ideal of the rows' first entries.
+
+    With ``truncate`` (bare rows only) every term at or above the highest
+    corner is dropped once there is one: the rows then have the leading
+    ideal of the input but equal its elements only modulo m^N.
+    """
     budget = _Budget(DEFAULT_STEP_LIMIT)
     basis = [_primitive(row) for row in rows]
     leads = [_leading(row[0]) for row in basis]
+    nvars = len(basis[0][0].variables)
+    corner = None
+    grew = truncate
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
+        if grew:
+            grew = False
+            new_corner = _corner([lead for lead, _ in leads], nvars)
+            if new_corner != corner:
+                corner = new_corner
+                basis = [row if monomial_degree(lead) >= corner
+                         else _cut(row, corner)
+                         for row, (lead, _) in zip(basis, leads)]
         i, j = pairs.pop(0)
         (lead_i, lc_i), (lead_j, lc_j) = leads[i], leads[j]
         both = monomial_lcm(lead_i, lead_j)
@@ -193,13 +235,16 @@ def _complete(rows):
             continue  # product criterion
         s = _minus(_times(basis[i], monomial_div(both, lead_i), 1 / lc_i),
                    _times(basis[j], monomial_div(both, lead_j), 1 / lc_j))
-        rem = _mora(s, basis, budget)
+        if corner is not None:
+            s = _cut(s, corner)
+        rem = _mora(s, basis, budget, corner)
         if rem[0].is_zero():
             continue
         new_index = len(basis)
         basis.append(rem)
         pairs.extend((k, new_index) for k in range(new_index))
         leads.append(_leading(rem[0]))
+        grew = truncate
     return basis
 
 
@@ -226,22 +271,37 @@ def minimalize_monomials(monomials) -> list[Exponents]:
     return out
 
 
-def _staircase_count(leads: list[Exponents], nvars: int):
-    """Number of monomials outside the monomial ideal, or INFINITE."""
-    if any(monomial_degree(l) == 0 for l in leads):
-        return 0
+def _staircase(leads: list[Exponents], nvars: int):
+    """Monomials outside the monomial ideal generated by ``leads``, or None
+    while some variable has no pure power among them."""
     bounds = []
     for i in range(nvars):
-        pures = [l[i] for l in leads
-                 if all(e == 0 for k, e in enumerate(l) if k != i)]
+        pures = [l[i] for l in leads if monomial_degree(l) == l[i]]
         if not pures:
-            return INFINITE
+            return None
         bounds.append(min(pures))
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(monomial_divides(l, exps) for l in leads):
-            count += 1
-    return count
+    # the ideal is closed upward, so over each prefix of the other exponents
+    # the last exponent runs up to the lowest lead below that prefix
+    stairs = []
+    for prefix in itertools.product(*(range(b) for b in bounds[:-1])):
+        height = min(l[-1] for l in leads if monomial_divides(l[:-1], prefix))
+        stairs.extend(prefix + (k,) for k in range(height))
+    return stairs
+
+
+def _staircase_count(leads: list[Exponents], nvars: int):
+    """Number of monomials outside the monomial ideal, or INFINITE."""
+    stairs = _staircase(leads, nvars)
+    return INFINITE if stairs is None else len(stairs)
+
+
+def _corner(leads: list[Exponents], nvars: int):
+    """The highest-corner degree N: 1 + the top degree of the staircase, so
+    m^N lies in the monomial ideal; None while the staircase is infinite."""
+    stairs = _staircase(leads, nvars)
+    if stairs is None:
+        return None
+    return 1 + max(map(monomial_degree, stairs), default=-1)
 
 
 def quotient_dim(gens: IdealGens):
@@ -250,7 +310,7 @@ def quotient_dim(gens: IdealGens):
     Finite exactly when the leading ideal contains a pure power of every
     variable; the value is then the number of staircase monomials.
     """
-    basis = _complete([(g,) for g in gens.generators])
+    basis = _complete([(g,) for g in gens.generators], truncate=True)
     leads = minimalize_monomials(_leading(row[0])[0] for row in basis)
     return _staircase_count(leads, len(gens.variables))
 

@@ -438,6 +438,10 @@ FIELD_ERRORS = [
     ("chern-check", PLANE_POINCARE_JOB.replace("poincare", "chern-check")
      .replace("ambient = 2", "ambient = 3").replace("k = 1", "k = 0"),
      "[parameters] k"),
+    ("chern-check", PLANE_POINCARE_JOB.replace("poincare", "chern-check")
+     .replace("ambient = 2", "ambient = 19").replace("k = 1", "k = 2")
+     .replace("degree = 3", "degree = 1"),
+     "[job] ambient"),
 ]
 
 

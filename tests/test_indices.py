@@ -1,6 +1,7 @@
 """Singularity invariants, local indices and the nondegenerate bounds."""
 
 import random
+import time
 
 import pytest
 
@@ -283,6 +284,30 @@ def test_non_quasihomogeneous_plane_germ():
     assert report.schwartz >= 2
     assert not report.quasihomogeneous
     assert not report.anomalies
+
+
+# f = x^5 + y^7 + x^2*y^5 - 1/2*x^2*y^6 - x^4*y^6 is Newton-nondegenerate
+# with Kouchnirenko number mu = 24; the field is the Hamiltonian field plus
+# multiples of f.  Without the highest-corner truncation the Mora rows of
+# its dim_v ideal grow to degree 45 and run for minutes.
+SLOW_PLANE_GERM = "-x^4*y^6 - 1/2*x^2*y^6 + x^2*y^5 + y^7 + x^5"
+SLOW_PLANE_FIELD = (
+    "2*x^4*y^6 - 6*x^4*y^5 + x^2*y^6 - 5*x^2*y^5 - 2*y^7 + 5*x^2*y^4"
+    " + 7*y^6 - 2*x^5",
+    "-x^4*y^6 + 4*x^3*y^6 - 1/2*x^2*y^6 + x^2*y^5 + x*y^6 + y^7"
+    " - 2*x*y^5 + x^5 - 5*x^4",
+)
+
+
+def test_slow_plane_germ_decides_quickly():
+    start = time.perf_counter()
+    report = local_indices(germ(SLOW_PLANE_GERM, variables=XY),
+                           field(*SLOW_PLANE_FIELD, variables=XY))
+    elapsed = time.perf_counter() - start
+    assert (report.gsv, report.milnor, report.tau) == (0, 24, 22)
+    assert report.schwartz == 24
+    assert not report.anomalies
+    assert elapsed < 1.0
 
 
 def test_full_report_invariants():

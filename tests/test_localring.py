@@ -10,6 +10,7 @@ from gsvkit.localring import (
     INFINITE,
     IdealGens,
     _Budget,
+    _corner,
     _leading,
     _local_key,
     _mora,
@@ -359,6 +360,35 @@ def random_zero_dim_ideal(rng, max_power=3):
     return IdealGens(tuple(generators))
 
 
+def random_corner_ideal(rng):
+    """Zero-dimensional with a highest corner from the start: pure powers
+    x_i^a_i among the generators, so m^N lies in the ideal for
+    N = sum(a_i - 1) + 1, and further generators with tails of degree
+    >= N, which the corner truncation drops."""
+    m = rng.choice([1, 2, 3])
+    variables = tuple(f"x{i}" for i in range(1, m + 1))
+    powers = [rng.randint(2, 4) for _ in range(m)]
+    corner = sum(powers) - m + 1
+    generators = [Polynomial(variables, {tuple(a if k == i else 0
+                                               for k in range(m)): 1})
+                  for i, a in enumerate(powers)]
+
+    def monomial(degree):
+        exps = [0] * m
+        for _ in range(degree):
+            exps[rng.randrange(m)] += 1
+        return tuple(exps)
+
+    for _ in range(rng.randint(1, 2)):
+        low = rng.randint(1, corner - 1)
+        terms = {monomial(low + rng.randint(0, 1)): rng.choice([1, 2, -3])
+                 for _ in range(rng.randint(1, 3))}
+        for _ in range(rng.randint(1, 3)):
+            terms[monomial(corner + rng.randint(0, 3))] = rng.randint(-3, 3)
+        generators.append(Polynomial(variables, terms))
+    return IdealGens(tuple(generators))
+
+
 def test_oracle_agrees_on_randomized_ideals():
     rng = random.Random(20240914)
     for _ in range(30):
@@ -371,6 +401,21 @@ def test_oracle_agrees_on_randomized_ideals():
         # the same leading ideal
         leads = minimalize_monomials(standard_basis(ideal).leading_monomials)
         assert _staircase_count(leads, len(ideal.variables)) == staircase
+    # the corner truncation of the bare rows engages from the first pair
+    # and changes no dimension; the tracked rows stay exact
+    for _ in range(30):
+        ideal = random_corner_ideal(rng)
+        nvars = len(ideal.variables)
+        assert _corner([_leading(g)[0] for g in ideal.generators],
+                       nvars) is not None
+        sb = standard_basis(ideal)
+        leads = minimalize_monomials(sb.leading_monomials)
+        assert quotient_dim(ideal) == _staircase_count(leads, nvars)
+        for element, lift in zip(sb.elements, sb.lifts):
+            acc = element
+            for c, generator in zip(lift, ideal.generators):
+                acc = acc - c * generator
+            assert acc.is_zero()
 
 
 # ---------------------------------------------------------------------------
