@@ -3,6 +3,8 @@
 The ring has named generators with positive integer degrees and discards
 every monomial above the truncation degree.  Coefficients are integers
 only; handing in a rational is treated as a modeling error and rejected.
+Each monomial is keyed once, as (degree, sorted generator names), by
+``GradedRing.key``; arithmetic then reads degrees off the keys.
 
 The classes d_0..d_T of the virtual difference of two bundles (T the
 truncation degree) are computed three independent ways, each returning the
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
+
+Key = tuple[int, tuple[str, ...]]
 
 
 class GradedRing:
@@ -37,8 +41,13 @@ class GradedRing:
         self.degrees = degrees
         self.truncation = truncation
 
-    def monomial_degree(self, mono: tuple[str, ...]) -> int:
-        return sum(self.degrees[name] for name in mono)
+    def key(self, names) -> Key:
+        """(degree, sorted names): the term key of a monomial."""
+        try:
+            degree = sum(self.degrees[name] for name in names)
+        except KeyError as exc:
+            raise KeyError(f"no generator named {exc.args[0]!r}") from None
+        return degree, tuple(sorted(names))
 
     def zero(self) -> "GradedElement":
         return GradedElement(self, {})
@@ -47,10 +56,6 @@ class GradedRing:
         return GradedElement(self, {(): 1})
 
     def gen(self, name: str) -> "GradedElement":
-        if name not in self.degrees:
-            raise KeyError(f"no generator named {name!r}")
-        if self.degrees[name] > self.truncation:
-            return self.zero()
         return GradedElement(self, {(name,): 1})
 
     def __eq__(self, other):
@@ -63,78 +68,79 @@ class GradedRing:
         return f"GradedRing({gens}; trunc={self.truncation})"
 
 
+def _accumulate(terms: dict[Key, int], key: Key, coeff: int):
+    """Add ``coeff`` to the term at ``key``, dropping it if it cancels."""
+    acc = terms.get(key, 0) + coeff
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
+
+
 class GradedElement:
-    """Element of a GradedRing: sorted generator tuples -> integer coeffs."""
+    """Element of a GradedRing, built from {generator-name tuple: int}:
+    ``terms`` maps each monomial's key to its nonzero coefficient."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms):
-        clean: dict[tuple[str, ...], int] = {}
-        for mono, coeff in terms.items():
-            mono = tuple(sorted(mono))
+        clean: dict[Key, int] = {}
+        for names, coeff in terms.items():
             if not isinstance(coeff, int):
                 raise TypeError(
                     f"coefficients must be integers, got {type(coeff).__name__}"
                     " (rationals are rejected to catch modeling errors)")
-            if ring.monomial_degree(mono) > ring.truncation:
-                continue
-            if coeff:
-                acc = clean.get(mono, 0) + coeff
-                if acc:
-                    clean[mono] = acc
-                else:
-                    del clean[mono]
+            key = ring.key(names)
+            if key[0] <= ring.truncation:
+                _accumulate(clean, key, coeff)
         self.ring = ring
         self.terms = clean
 
-    def _compatible(self, other: "GradedElement"):
-        if self.ring != other.ring:
+    @classmethod
+    def _of(cls, ring: GradedRing, terms: dict[Key, int]) -> "GradedElement":
+        """Wrap already-clean keyed terms without checking them again."""
+        out = cls.__new__(cls)
+        out.ring, out.terms = ring, terms
+        return out
+
+    def _coerce(self, other):
+        """``other`` as an element of this ring, or None for a foreign type."""
+        if isinstance(other, int):
+            return GradedElement(self.ring, {(): other})
+        if not isinstance(other, GradedElement):
+            return None
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("elements live in different graded rings")
+        return other
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono) -> int:
-        return self.terms.get(tuple(sorted(mono)), 0)
+        return self.terms.get(self.ring.key(mono), 0)
 
     def homogeneous_part(self, t: int) -> "GradedElement":
-        return GradedElement(self.ring, {
-            m: c for m, c in self.terms.items()
-            if self.ring.monomial_degree(m) == t})
+        return GradedElement._of(self.ring, {
+            key: c for key, c in self.terms.items() if key[0] == t})
 
     def is_homogeneous_of_degree(self, t: int) -> bool:
-        return all(self.ring.monomial_degree(m) == t for m in self.terms)
+        return all(key[0] == t for key in self.terms)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = GradedElement(self.ring, {(): other})
-        if not isinstance(other, GradedElement):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._compatible(other)
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, 0) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        out = GradedElement.__new__(GradedElement)
-        out.ring, out.terms = self.ring, terms
-        return out
+        for key, coeff in other.terms.items():
+            _accumulate(terms, key, coeff)
+        return GradedElement._of(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = GradedElement.__new__(GradedElement)
-        out.ring = self.ring
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = GradedElement(self.ring, {(): other})
-        if not isinstance(other, GradedElement):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -142,30 +148,19 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = GradedElement.__new__(GradedElement)
-            out.ring = self.ring
-            out.terms = {m: c * other for m, c in self.terms.items()} \
-                if other else {}
-            return out
-        if not isinstance(other, GradedElement):
+            return GradedElement._of(self.ring, {
+                key: c * other for key, c in self.terms.items() if other})
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._compatible(other)
-        ring = self.ring
-        terms: dict[tuple[str, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            d1 = ring.monomial_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + ring.monomial_degree(m2) > ring.truncation:
-                    continue
-                mono = tuple(sorted(m1 + m2))
-                acc = terms.get(mono, 0) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        out = GradedElement.__new__(GradedElement)
-        out.ring, out.terms = ring, terms
-        return out
+        truncation = self.ring.truncation
+        terms: dict[Key, int] = {}
+        for (d1, n1), c1 in self.terms.items():
+            for (d2, n2), c2 in other.terms.items():
+                if d1 + d2 <= truncation:
+                    _accumulate(terms, (d1 + d2, tuple(sorted(n1 + n2))),
+                                c1 * c2)
+        return GradedElement._of(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -178,21 +173,17 @@ class GradedElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(): other} if other else {})
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        try:
+            other = self._coerce(other)
+        except ValueError:
+            return False
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for mono in sorted(self.terms,
-                           key=lambda m: (self.ring.monomial_degree(m), m)):
-            coeff = self.terms[mono]
-            body = "*".join(mono) if mono else "1"
-            bits.append(f"{coeff}*{body}" if mono else str(coeff))
+        bits = [f"{c}*{'*'.join(names)}" if names else str(c)
+                for (_, names), c in sorted(self.terms.items())]
         return " + ".join(bits).replace("+ -", "- ")
 
 
@@ -226,10 +217,7 @@ class ChernVector:
         return self.ring.zero()
 
     def total_class(self) -> GradedElement:
-        total = self.ring.one()
-        for c in self.classes:
-            total = total + c
-        return total
+        return sum(self.classes, self.ring.one())
 
 
 def compositions(j: int, i: int) -> list[tuple[int, ...]]:
@@ -261,10 +249,7 @@ def inverse_total_class(c: ChernVector) -> GradedElement:
         for i in range(1, min(k, c.rank) + 1):
             acc = acc + c.class_at(i) * parts[k - i]
         parts.append(-acc)
-    total = ring.zero()
-    for p in parts:
-        total = total + p
-    return total
+    return sum(parts, ring.zero())
 
 
 def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
@@ -376,7 +361,6 @@ def total_gsv_integral_projective(m: int, ks, d: int) -> int:
     diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
                                        split_bundle_chern(ring, ks))
     foliation_class = (d - 1) * ring.gen("h")
-    acc = ring.zero()
-    for t, diff in enumerate(diffs):
-        acc = acc + diff * foliation_class ** (m - r - t)
+    acc = sum((diff * foliation_class ** (m - r - t)
+               for t, diff in enumerate(diffs)), ring.zero())
     return elementary_symmetric(r, ks) * acc.coefficient(("h",) * (m - r))

@@ -63,8 +63,8 @@ from .projective import (
 
 BIGINT_THRESHOLD = 2 ** 53
 # The symbolic difference-class check over 2m Chern generators grows about
-# 2.6x per ambient dimension (m = 18 takes about 20 s); beyond this it
-# would run for minutes with no error.
+# 2x per ambient dimension (m = 18 takes about 13 s on a 2-vCPU x86 VM);
+# beyond this it would run for minutes with no error.
 CHERN_CHECK_MAX_AMBIENT = 18
 
 
@@ -231,6 +231,7 @@ class JobSpec:
     ambient: int | None
     foliation: ProjectiveFoliation | None
     foliation_degree: int | None
+    multidegree: tuple[int, ...] | None
     curve: ProjectiveCI | None
     milnor_order: tuple[int, ...] | None
     points: list[PointOnChart]
@@ -255,6 +256,8 @@ def load_job(text: str) -> JobSpec:
             + ", ".join(MODES))
     ambient_raw = _single(sections, "job", "ambient", required=False)
     ambient = _parse_int(ambient_raw, "[job] ambient") if ambient_raw else None
+    if ambient is not None and ambient < 2:
+        raise JobFileError("[job] ambient: must be at least 2")
 
     foliation = None
     foliation_degree = None
@@ -279,22 +282,22 @@ def load_job(text: str) -> JobSpec:
 
     curve = None
     milnor_order = None
-    if "curve" in sections and "equations" in sections["curve"]:
+    multi_raw = _single(sections, "curve", "multidegree", required=False)
+    multidegree = (None if multi_raw is None else tuple(
+        _parse_int_list(multi_raw, "[curve] multidegree")))
+    order_raw = _single(sections, "curve", "order", required=False)
+    if "equations" in sections.get("curve", {}):
         if ambient is None:
             raise JobFileError("[job] ambient: required with a curve")
         eqs = _parse_polynomials(
             _single(sections, "curve", "equations"),
             "[curve] equations", projective_variables(ambient))
-        multi_raw = _single(sections, "curve", "multidegree", required=False)
-        if multi_raw is not None:
-            multi = _parse_int_list(multi_raw, "[curve] multidegree")
-        else:
-            multi = [f.degree() for f in eqs]
+        if multidegree is None:
+            multidegree = tuple(f.degree() for f in eqs)
         try:
-            curve = ProjectiveCI(ambient, eqs, multi)
+            curve = ProjectiveCI(ambient, eqs, multidegree)
         except ValueError as exc:
             raise JobFileError(f"[curve] equations: {exc}") from None
-        order_raw = _single(sections, "curve", "order", required=False)
         if order_raw is not None:
             order = _parse_int_list(order_raw, "[curve] order")
             if sorted(order) != list(range(1, len(eqs) + 1)):
@@ -302,6 +305,8 @@ def load_job(text: str) -> JobSpec:
                     "[curve] order: must be a permutation of 1.."
                     + str(len(eqs)))
             milnor_order = tuple(i - 1 for i in order)
+    elif order_raw is not None:
+        raise JobFileError("[curve] order: needs [curve] equations")
 
     points = []
     if "points" in sections:
@@ -321,7 +326,8 @@ def load_job(text: str) -> JobSpec:
             parameters["milnors"] = _parse_int_list(raw, "[parameters] milnors")
 
     return JobSpec(mode=mode, ambient=ambient, foliation=foliation,
-                   foliation_degree=foliation_degree, curve=curve,
+                   foliation_degree=foliation_degree,
+                   multidegree=multidegree, curve=curve,
                    milnor_order=milnor_order, points=points,
                    parameters=parameters)
 
@@ -349,13 +355,13 @@ def _echo_inputs(job: JobSpec) -> dict:
         }
     elif job.foliation_degree is not None:
         echo["foliation"] = {"degree": job.foliation_degree}
-    if job.curve is not None:
-        echo["curve"] = {
-            "equations": [str(f) for f in job.curve.equations],
-            "multidegree": list(job.curve.multidegree),
-        }
+    if job.multidegree is not None:
+        curve = echo["curve"] = {}
+        if job.curve is not None:
+            curve["equations"] = [str(f) for f in job.curve.equations]
+        curve["multidegree"] = list(job.multidegree)
         if job.milnor_order is not None:
-            echo["curve"]["order"] = [i + 1 for i in job.milnor_order]
+            curve["order"] = [i + 1 for i in job.milnor_order]
     if job.points:
         echo["points"] = [_point_echo(p) for p in job.points]
     if job.parameters:
@@ -537,8 +543,8 @@ def _run_poincare(job: JobSpec):
 def _grid_inputs(job: JobSpec):
     """(multidegree, the field it came from, foliation degree) for the
     arithmetic-only modes, each value checked under its own field name."""
-    if job.curve is not None:
-        ks, ks_field = list(job.curve.multidegree), "[curve] multidegree"
+    if job.multidegree is not None:
+        ks, ks_field = list(job.multidegree), "[curve] multidegree"
     elif "k" in job.parameters:
         ks, ks_field = [job.parameters["k"]], "[parameters] k"
     else:

@@ -311,8 +311,8 @@ def quotient_dim(gens: IdealGens):
     variable; the value is then the number of staircase monomials.
     """
     basis = _complete([(g,) for g in gens.generators], truncate=True)
-    leads = minimalize_monomials(_leading(row[0])[0] for row in basis)
-    return _staircase_count(leads, len(gens.variables))
+    return _staircase_count([_leading(row[0])[0] for row in basis],
+                            len(gens.variables))
 
 
 def membership_with_cofactors(targets, gens: IdealGens):

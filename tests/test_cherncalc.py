@@ -84,6 +84,120 @@ def test_truncation_discards_high_degrees():
     assert not (h * h).is_zero()
 
 
+class NameTupleElement:
+    """Reference arithmetic on {sorted generator-name tuple: int} that
+    recomputes each monomial's degree from the generator degrees."""
+
+    def __init__(self, degrees, truncation, terms):
+        self.degrees, self.truncation = degrees, truncation
+        acc = {}
+        for mono, coeff in terms.items():
+            mono = tuple(sorted(mono))
+            if self.degree(mono) <= truncation:
+                acc[mono] = acc.get(mono, 0) + coeff
+        self.terms = {mono: c for mono, c in acc.items() if c}
+
+    def degree(self, mono):
+        return sum(self.degrees[name] for name in mono)
+
+    def like(self, terms):
+        return NameTupleElement(self.degrees, self.truncation, terms)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            terms[mono] = terms.get(mono, 0) + coeff
+        return self.like(terms)
+
+    def __neg__(self):
+        return self.like({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return self.like(terms)
+
+    def __pow__(self, exponent):
+        result = self.like({(): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def homogeneous_part(self, t):
+        return self.like({mono: c for mono, c in self.terms.items()
+                          if self.degree(mono) == t})
+
+    def coefficient(self, mono):
+        return self.terms.get(tuple(sorted(mono)), 0)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for mono in sorted(self.terms, key=lambda m: (self.degree(m), m)):
+            coeff = self.terms[mono]
+            bits.append(f"{coeff}*{'*'.join(mono)}" if mono else str(coeff))
+        return " + ".join(bits).replace("+ -", "- ")
+
+
+def random_name_terms(rng, names):
+    """Unsorted, repeated, zero and over-degree monomials included."""
+    return {tuple(rng.choice(names) for _ in range(rng.randint(0, 3))):
+            rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+
+
+def test_keyed_terms_match_name_tuple_reference():
+    rng = random.Random(21)
+    for truncation in range(7):
+        for _ in range(25):
+            degrees = {name: rng.randint(1, 3)
+                       for name in rng.sample("abcde", rng.randint(1, 4))}
+            ring = GradedRing(degrees, truncation)
+            names = sorted(degrees)
+            terms_x = random_name_terms(rng, names)
+            terms_y = random_name_terms(rng, names)
+            x, y = GradedElement(ring, terms_x), GradedElement(ring, terms_y)
+            rx = NameTupleElement(degrees, truncation, terms_x)
+            ry = NameTupleElement(degrees, truncation, terms_y)
+            k, e = rng.randint(-3, 3), rng.randint(0, 3)
+            const = rx.like({(): k})
+            cases = [(x, rx), (x + y, rx + ry), (x - y, rx - ry),
+                     (x * y, rx * ry), (x ** e, rx ** e), (-x, -rx),
+                     (x + k, rx + const), (k - x, const - rx),
+                     (x * k, rx * const)]
+            cases += [(x.homogeneous_part(t), rx.homogeneous_part(t))
+                      for t in range(truncation + 2)]
+            monos = [mono for n in range(4)
+                     for mono in itertools.combinations_with_replacement(
+                         names, n)]
+            for new, ref in cases:
+                assert repr(new) == repr(ref)
+                assert new.is_zero() == (not ref.terms)
+                for mono in monos:
+                    assert new.coefficient(mono[::-1]) \
+                        == ref.coefficient(mono)
+                for t in range(truncation + 2):
+                    assert new.is_homogeneous_of_degree(t) == all(
+                        ref.degree(mono) == t for mono in ref.terms)
+                assert new == GradedElement(ring, ref.terms)
+            assert (x == y) == (rx.terms == ry.terms)
+            assert (x == k) == (rx.terms == const.terms)
+
+
+def test_unknown_generator_raises_like_gen():
+    ring = GradedRing({"a": 1}, 2)
+    with pytest.raises(KeyError, match="no generator named 'zz'"):
+        ring.gen("zz")
+    with pytest.raises(KeyError, match="no generator named 'zz'"):
+        GradedElement(ring, {("a", "zz"): 1})
+
+
 # ---------------------------------------------------------------------------
 # inverse total class
 

@@ -422,6 +422,30 @@ def test_point_off_curve_named_field(tmp_path, capsys):
         assert "equation 1 does not vanish at chart 0 point" in error, mode
 
 
+BARE_MULTIDEGREE_JOB = """
+[job]
+mode = poincare
+ambient = 3
+
+[foliation]
+degree = 1
+
+[curve]
+multidegree = 3, 2
+"""
+
+
+def test_bare_multidegree_feeds_arithmetic_modes(tmp_path, capsys):
+    for mode, key in (("poincare", "gsv"), ("chern-check", "integral")):
+        job = BARE_MULTIDEGREE_JOB.replace("poincare", mode)
+        code, out, _ = run_cli(capsys, mode, "--job",
+                               write_job(tmp_path, job), "--quiet")
+        assert code == 0, mode
+        report = json.loads(out)
+        assert report["results"][key] == -6, mode
+        assert report["inputs"]["curve"] == {"multidegree": [3, 2]}, mode
+
+
 # (mode, job text, field the error must name)
 FIELD_ERRORS = [
     ("poincare", POINCARE_JOB.replace("milnors = 2, 6", "milnors = 0, 2"),
@@ -442,6 +466,16 @@ FIELD_ERRORS = [
      .replace("ambient = 2", "ambient = 19").replace("k = 1", "k = 2")
      .replace("degree = 3", "degree = 1"),
      "[job] ambient"),
+    ("bounds", BOUNDS_JOB.replace("ambient = 3", "ambient = 1"),
+     "[job] ambient"),
+    ("poincare", PLANE_POINCARE_JOB.replace("ambient = 2", "ambient = 1"),
+     "[job] ambient"),
+    ("chern-check", PLANE_POINCARE_JOB.replace("poincare", "chern-check")
+     .replace("ambient = 2", "ambient = 0"),
+     "[job] ambient"),
+    ("total-gsv", GOLDEN_JOB.read_text().replace("ambient = 3", "ambient = 0"),
+     "[job] ambient"),
+    ("poincare", BARE_MULTIDEGREE_JOB + "order = 2, 1\n", "[curve] order"),
 ]
 
 
