@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -340,6 +341,14 @@ def _need(condition, message):
         raise JobFileError(message)
 
 
+def _need_curve(job: JobSpec, any_r=False):
+    """Require curve equations; unless ``any_r``, exactly m-1 of them."""
+    _need(job.curve is not None, "[curve] equations: required")
+    m, r = job.ambient, job.curve.r
+    _need(any_r or r == m - 1, f"[curve] equations: {job.mode} needs a "
+          f"curve, {m - 1} equations in P^{m}, got {r}")
+
+
 def _point_echo(point: PointOnChart) -> dict:
     return {"chart": point.chart, "coords": [str(c) for c in point.coords]}
 
@@ -394,7 +403,7 @@ def _oracle_info(checks, anomalies) -> dict:
 
 def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
     _need(job.foliation is not None, "[foliation] components: required")
-    _need(job.curve is not None, "[curve] equations: required")
+    _need_curve(job)
     _need(bool(job.points), "[points] point: at least one point is required")
     anomalies = []
     if full:
@@ -433,9 +442,9 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
 
 
 def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
-    _need(job.curve is not None, "[curve] equations: required")
-    _need(bool(job.points), "[points] point: at least one point is required")
     tjurina = which == "tjurina"
+    _need_curve(job, any_r=tjurina)
+    _need(bool(job.points), "[points] point: at least one point is required")
     invariant = greuel_tjurina if tjurina else milnor_curve
     check_distinct_points(job.points)
     germs = [curve_germ_at(job.curve, point, job.milnor_order)
@@ -646,18 +655,19 @@ def run_job(job: JobSpec, oracle: bool = False):
 # serialization
 
 def _fold_bigints(obj):
+    # str(Decimal(n)) is exact and, unlike str(n), has no digit cap
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         if abs(obj) >= BIGINT_THRESHOLD:
-            return {"_bigint": True, "value": str(obj)}
+            return {"_bigint": True, "value": str(Decimal(obj))}
         return obj
     if isinstance(obj, dict):
         out = {}
         for key, value in obj.items():
             if (isinstance(value, int) and not isinstance(value, bool)
                     and abs(value) >= BIGINT_THRESHOLD):
-                out[key] = str(value)
+                out[key] = str(Decimal(value))
                 out[key + "_bigint"] = True
             else:
                 out[key] = _fold_bigints(value)
@@ -683,7 +693,8 @@ def _flatten(prefix: str, obj, lines: list):
         for i, value in enumerate(obj):
             _flatten(f"{prefix}{i}.", value, lines)
     else:
-        lines.append((prefix[:-1], obj))
+        lines.append((prefix[:-1],
+                      str(Decimal(obj)) if type(obj) is int else obj))
 
 
 def render_table(report: dict) -> str:

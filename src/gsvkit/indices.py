@@ -350,15 +350,18 @@ def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
     """
     if m < 2 or not 1 <= r <= m - 1:
         raise ValueError(f"need m >= 2 and 1 <= r <= m-1, got m={m}, r={r}")
-    eps = sum((-1) ** j * comb(r - 1 + j, j) for j in range(m - r - 1))
-    alpha = sum((-1) ** j * comb(r - 1 + j, j) for j in range(m - r))
+    # both partial sums in one pass; term = C(r-1+j, j), sign = (-1)^j
+    eps, term, sign = 0, 1, 1
+    for j in range(m - r - 1):
+        eps += sign * term
+        term, sign = term * (r + j) // (j + 1), -sign
+    alpha = eps + sign * term
     binom = comb(m - 2, m - r - 1)
-    beta = alpha + (-1) ** (m - r - 1) * binom
-    constants = BoundConstants(eps_r=eps, alpha=alpha, binom=binom,
-                               rho_range_max=binom, beta_as_stated=beta)
-    if r < m - 1 and alpha - eps != (-1) ** (m - r - 1) * binom:
+    if alpha - eps != sign * binom:
         raise InternalCheckError("alpha - eps_r parity identity failed")
-    return constants
+    return BoundConstants(eps_r=eps, alpha=alpha, binom=binom,
+                          rho_range_max=binom,
+                          beta_as_stated=alpha + sign * binom)
 
 
 def gsv_bounds_nondegenerate(m: int, r: int, tau: int) -> tuple[int, int]:

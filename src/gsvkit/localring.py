@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     InfiniteDimensionError,
@@ -261,16 +261,6 @@ def standard_basis(gens: IdealGens) -> StandardBasis:
                          tuple(row[1:] for row in basis))
 
 
-def minimalize_monomials(monomials) -> list[Exponents]:
-    """Minimal generators of the monomial ideal the inputs generate."""
-    unique = sorted(set(monomials), key=lambda e: (monomial_degree(e), e))
-    out: list[Exponents] = []
-    for mono in unique:
-        if not any(monomial_divides(kept, mono) for kept in out):
-            out.append(mono)
-    return out
-
-
 def _staircase(leads: list[Exponents], nvars: int):
     """Monomials outside the monomial ideal generated by ``leads``, or None
     while some variable has no pure power among them."""
@@ -354,82 +344,74 @@ def membership_with_cofactors(targets, gens: IdealGens):
 # ---------------------------------------------------------------------------
 # Macaulay-matrix oracle
 
-def _int_rank(rows) -> int:
-    """Rank of integer rows via fraction-free elimination (sparse dicts)."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                pivots[lead] = {c: v // g for c, v in row.items()}
-                rank += 1
-                break
-            a = row[lead]
-            b = pivot[lead]
-            g = gcd(a, b)
-            am, bm = a // g, b // g
-            for c, v in pivot.items():
-                acc = row.get(c, 0) * bm - v * am
-                if acc:
-                    row[c] = acc
-                else:
-                    row.pop(c, None)
-        # empty row: linearly dependent, contributes nothing
-    return rank
+MACAULAY_MAX_DEGREE = 24
 
 
-def _monomials_below(nvars: int, degree: int):
-    """All exponent tuples of total degree < degree, deterministic order."""
-    out = []
-    for d in range(degree):
-        for exps in itertools.combinations_with_replacement(range(nvars), d):
-            vec = [0] * nvars
-            for i in exps:
-                vec[i] += 1
-            out.append(tuple(vec))
-    return out
+def _echelon_insert(pivots, row):
+    """Reduce the integer row ``{(degree, exps): coeff}`` against the
+    ``pivots`` (each keyed by its lowest column, columns ordered by degree
+    first) and file what is left under its lowest column.
+
+    Each step scales the whole row, so the row stays an integer combination
+    of the inserted rows and every entry sits at or after its pivot.
+    """
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = 0
+            for v in row.values():
+                g = gcd(g, v)
+            pivots[lead] = {c: v // g for c, v in row.items()}
+            return
+        g = gcd(row[lead], pivot[lead])
+        a, b = row[lead] // g, pivot[lead] // g
+        row = {c: v * b for c, v in row.items()}
+        for c, v in pivot.items():
+            acc = row.get(c, 0) - v * a
+            if acc:
+                row[c] = acc
+            else:
+                del row[c]
 
 
-def quotient_dim_macaulay(gens: IdealGens, max_degree: int = 24) -> int:
-    """Quotient dimension by truncated linear algebra, independent of
-    standard bases: corank of the span of monomial multiples of the
-    generators inside polynomials of degree < D, at the first D where the
-    value repeats for two consecutive degrees.
+def quotient_dim_macaulay(gens: IdealGens) -> int:
+    """Quotient dimension by linear algebra, independent of standard bases.
+
+    One fraction-free echelon form of the monomial multiples g*s of the
+    generators, each row pivoting on its lowest-degree column; the multiples
+    of lowest degree D-1 join it at step D.  A row has no entry below its
+    pivot, so the pivots of degree < D are the rank of the multiples cut
+    below degree D, and c(D) = C(D-1+n, n) - rank = dim O/(I + m^D).  At the
+    first D with c(D) = c(D-1), m^(D-1) lies in I + m^D, hence in I by
+    Nakayama's lemma, and c(D) is the dimension.
 
     Only meaningful (and guaranteed to stabilize) for zero-dimensional
-    ideals; raises InfiniteDimensionError when the cap is hit.
+    ideals; raises InfiniteDimensionError past MACAULAY_MAX_DEGREE.
     """
-    variables = gens.variables
-    nvars = len(variables)
-    primitive = []
+    nvars = len(gens.variables)
+    rows = []
     for g in gens.generators:
         scale = g.primitive_factor()
-        primitive.append({e: int(c * scale) for e, c in g.terms.items()})
-    min_degs = [min(monomial_degree(e) for e in g) for g in primitive]
-
+        rows.append({(monomial_degree(e), e): int(c * scale)
+                     for e, c in g.terms.items()})
+    pivots: dict = {}
     previous = None
-    for degree in range(1, max_degree + 1):
-        columns = {e: i for i, e in enumerate(_monomials_below(nvars, degree))}
-        rows = []
-        for g, mind in zip(primitive, min_degs):
-            for shift in _monomials_below(nvars, degree - mind):
-                row = {}
-                for e, c in g.items():
-                    target = monomial_mul(e, shift)
-                    if monomial_degree(target) < degree:
-                        row[columns[target]] = c
-                if row:
-                    rows.append(row)
-        corank = len(columns) - _int_rank(rows)
+    for degree in range(1, MACAULAY_MAX_DEGREE + 1):
+        for row in rows:
+            k = degree - 1 - min(row)[0]  # deg s, so that g*s starts at D-1
+            if k < 0:
+                continue
+            for combo in itertools.combinations_with_replacement(range(nvars),
+                                                                 k):
+                shift = tuple(combo.count(i) for i in range(nvars))
+                _echelon_insert(pivots, {(d + k, monomial_mul(e, shift)): c
+                                         for (d, e), c in row.items()})
+        rank = sum(1 for d, _ in pivots if d < degree)
+        corank = comb(degree - 1 + nvars, nvars) - rank
         if previous == corank:
             return corank
         previous = corank
     raise InfiniteDimensionError(
-        f"Macaulay corank did not stabilize by degree {max_degree}; "
+        f"Macaulay corank did not stabilize by degree {MACAULAY_MAX_DEGREE}; "
         "the ideal may not be zero-dimensional")

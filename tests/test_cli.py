@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: determinism, golden output, exit codes."""
 
 import json
+import math
 import re
+from decimal import Decimal
 from pathlib import Path
+
+import pytest
 
 from gsvkit import cli
 from gsvkit.cli import load_job, main, render_report, run_job
@@ -112,6 +116,22 @@ def test_bounds_mode_bigint_folding(tmp_path, capsys):
     assert results["lo_bigint"] is True
     assert results["hi"] == str(1 - big_tau)
     assert results["hi_bigint"] is True
+
+
+def test_bounds_mode_large_ambient(tmp_path, capsys):
+    # the constants have about 6000 digits, past the interpreter's default
+    # cap on int-to-str conversion; the table on stderr prints them too
+    job = BOUNDS_JOB.replace("ambient = 3", "ambient = 20000").replace(
+        "r = 2", "r = 10000")
+    code, out, err = run_cli(capsys, "bounds", "--job",
+                             write_job(tmp_path, job))
+    assert code == 0
+    results = {key: int(Decimal(value)) for key, value in
+               json.loads(out)["results"].items() if isinstance(value, str)}
+    binom = math.comb(19998, 9999)
+    assert results["hi"] - results["lo"] == binom
+    assert results["alpha"] - results["eps_r"] == -binom
+    assert str(Decimal(results["alpha"])) in err
 
 
 def test_bounds_divergent_published_row(tmp_path, capsys):
@@ -314,6 +334,38 @@ point = 1 : 0, 0, 0
     assert report["oracle"] == {"agreement": True, "dimensions_checked": 4}
 
 
+P4_ORACLE_JOB = """
+[job]
+mode = total-gsv
+ambient = 4
+
+[foliation]
+degree = 1
+components = "-9*z0", "-5*z1", "-8*z2", "-19/3*z3", "-7*z4"
+
+[curve]
+equations = "z2^4 + 3*z0^3*z1", "z3^3 + 2*z0*z1^2", "z4^2 - 5*z0*z1"
+
+[points]
+point = 0 : 0, 0, 0, 0
+point = 1 : 0, 0, 0, 0
+"""
+
+
+def test_p4_oracle_agrees(tmp_path, capsys):
+    # the Tjurina ideals have non-unit coefficients; at chart 1 a partial
+    # scaling of the Macaulay rows gave 53 instead of 59
+    code, out, _ = run_cli(capsys, "total-gsv", "--job",
+                           write_job(tmp_path, P4_ORACLE_JOB), "--oracle",
+                           "--quiet")
+    assert code == 0
+    report = json.loads(out)
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 6}
+    assert report["anomalies"] == []
+    taus = [d["tau"] for d in report["results"]["per_point_detail"]]
+    assert taus == [39, 59]
+
+
 def test_local_gsv_mode(tmp_path, capsys):
     job = SCHWARTZ_JOB.replace("mode = schwartz", "mode = local-gsv")
     code, out, _ = run_cli(capsys, "local-gsv", "--job",
@@ -420,6 +472,43 @@ def test_point_off_curve_named_field(tmp_path, capsys):
         assert code == 1
         error = json.loads(out)["error"]
         assert "equation 1 does not vanish at chart 0 point" in error, mode
+
+
+SURFACE_JOB = """
+[job]
+mode = MODE
+ambient = 3
+
+[foliation]
+degree = 1
+components = "z0", "2*z1", "3*z2", "5*z3"
+
+[curve]
+equations = "z0*z1 - z2^2"
+
+[points]
+point = 0 : 0, 0, 0
+"""
+
+
+@pytest.mark.parametrize("mode", ["local-gsv", "total-gsv", "schwartz",
+                                  "euler", "milnor"])
+def test_curve_modes_reject_a_surface(tmp_path, capsys, mode):
+    job = SURFACE_JOB.replace("MODE", mode)
+    code, out, _ = run_cli(capsys, mode, "--job", write_job(tmp_path, job))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        f"[curve] equations: {mode} needs a curve, 2 equations in P^3, got 1")
+
+
+def test_tjurina_accepts_a_surface(tmp_path, capsys):
+    job = SURFACE_JOB.replace("MODE", "tjurina")
+    code, out, _ = run_cli(capsys, "tjurina", "--job",
+                           write_job(tmp_path, job), "--oracle", "--quiet")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["per_point"] == [0]
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 1}
 
 
 BARE_MULTIDEGREE_JOB = """

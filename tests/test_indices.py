@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -343,6 +344,18 @@ def test_constants_range_validation():
         nondegenerate_bound_constants(3, 3)
     with pytest.raises(ValueError):
         nondegenerate_bound_constants(1, 1)
+
+
+def test_constants_match_direct_sums():
+    for m in range(2, 16):
+        for r in range(1, m):
+            c = nondegenerate_bound_constants(m, r)
+            terms = [(-1) ** j * comb(r - 1 + j, j) for j in range(m - r)]
+            assert c.eps_r == sum(terms[:-1]), (m, r)
+            assert c.alpha == sum(terms), (m, r)
+            assert c.binom == c.rho_range_max == comb(m - 2, m - r - 1)
+            assert c.beta_as_stated == (
+                c.alpha + (-1) ** (m - r - 1) * c.binom)
 
 
 def test_beta_as_stated_differs_from_proved_endpoint():
