@@ -32,19 +32,23 @@ from .cherncalc import (
     chern_difference_recursion,
     total_gsv_integral_projective,
 )
-from .errors import GsvkitError, PolynomialSyntaxError, UnknownVariableError
+from .errors import (
+    GsvkitError,
+    InfiniteDimensionError,
+    PolynomialSyntaxError,
+    UnknownVariableError,
+)
 from .indices import (
+    _bounds_with,
+    _gsv_at_rho_with,
     germ_ideals,
     greuel_tjurina,
-    gsv_bounds_nondegenerate,
-    gsv_from_rho,
-    ideal_dimensions,
     milnor_curve,
     milnor_from_chain,
     published_bound_table,
     nondegenerate_bound_constants,
 )
-from .localring import quotient_dim_macaulay
+from .localring import MACAULAY_MAX_DEGREE, quotient_dim_macaulay
 from .poly import Polynomial, parse_polynomial
 from .projective import (
     PointOnChart,
@@ -388,17 +392,36 @@ def _local_report_dict(point: PointOnChart, report) -> dict:
     return out
 
 
-def _oracle_info(checks, anomalies) -> dict:
-    """The report's oracle entry from (point, staircase value, Macaulay
-    value, ideals recomputed) per point; disagreements become anomalies."""
-    disagreements = [
-        f"oracle disagreement at chart {point.chart} point "
-        f"{[str(c) for c in point.coords]}: staircase {staircase} vs "
-        f"Macaulay {macaulay}"
-        for point, staircase, macaulay, _ in checks if staircase != macaulay]
-    anomalies.extend(disagreements)
-    return {"agreement": not disagreements,
-            "dimensions_checked": sum(count for *_, count in checks)}
+def _oracle_info(cases, redo, anomalies) -> dict:
+    """The report's oracle entry.  ``cases`` holds (point, labelled ideals,
+    staircase value) per point, and ``redo`` turns the Macaulay dimensions
+    of all the ideals into the value to compare.  A disagreement, and an
+    ideal the oracle cannot decide within MACAULAY_MAX_DEGREE, is an
+    anomaly and makes the agreement false."""
+    agreement, checked = True, 0
+    for point, ideals, staircase in cases:
+        where = f"chart {point.chart} point {[str(c) for c in point.coords]}"
+        dims = {}
+        for label, gens in ideals.items():
+            try:
+                dims[label] = quotient_dim_macaulay(gens)
+            except InfiniteDimensionError:
+                name = f"chain step {label}" if isinstance(label, int) \
+                    else label
+                anomalies.append(
+                    f"oracle undecided at {where}: the Macaulay corank of "
+                    f"{name} did not stabilize by degree "
+                    f"{MACAULAY_MAX_DEGREE}; staircase {staircase}")
+        checked += len(dims)
+        if len(dims) < len(ideals):
+            agreement = False
+            continue
+        macaulay = redo(dims)
+        if macaulay != staircase:
+            agreement = False
+            anomalies.append(f"oracle disagreement at {where}: staircase "
+                             f"{staircase} vs Macaulay {macaulay}")
+    return {"agreement": agreement, "dimensions_checked": checked}
 
 
 def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
@@ -430,14 +453,12 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
         anomalies.extend(rep.anomalies)
     oracle_info = None
     if oracle:
-        checks = []
-        for point, rep, germ in zip(job.points, report.per_point,
-                                    report.germs):
-            dims = ideal_dimensions(germ_ideals(*germ), quotient_dim_macaulay)
-            checks.append((point, (rep.tau, rep.dim_v, rep.dim_vf),
-                           (dims["tau"], dims["dim_v"], dims["dim_vf"]),
-                           len(dims)))
-        oracle_info = _oracle_info(checks, anomalies)
+        oracle_info = _oracle_info(
+            [(point, germ_ideals(*germ), (rep.tau, rep.dim_v, rep.dim_vf))
+             for point, rep, germ in zip(job.points, report.per_point,
+                                         report.germs)],
+            lambda dims: (dims["tau"], dims["dim_v"], dims["dim_vf"]),
+            anomalies)
     return results, anomalies, oracle_info
 
 
@@ -458,14 +479,11 @@ def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
     anomalies: list[str] = []
     oracle_info = None
     if oracle:
-        checks = []
-        for point, germ, value in zip(job.points, germs, values):
-            dims = ideal_dimensions(
-                germ_ideals(germ, tau=tjurina, chain=not tjurina),
-                quotient_dim_macaulay)
-            redone = dims["tau"] if tjurina else milnor_from_chain(dims)
-            checks.append((point, value, redone, len(dims)))
-        oracle_info = _oracle_info(checks, anomalies)
+        oracle_info = _oracle_info(
+            [(point, germ_ideals(germ, tau=tjurina, chain=not tjurina), value)
+             for point, germ, value in zip(job.points, germs, values)],
+            (lambda dims: dims["tau"]) if tjurina else milnor_from_chain,
+            anomalies)
     return results, anomalies, oracle_info
 
 
@@ -479,7 +497,7 @@ def _run_bounds(job: JobSpec):
     except ValueError as exc:
         raise JobFileError(f"[parameters] r: {exc}") from None
     try:
-        lo, hi = gsv_bounds_nondegenerate(m, r, tau)
+        lo, hi = _bounds_with(constants, m, r, tau)
     except ValueError as exc:
         raise JobFileError(f"[parameters] tau: {exc}") from None
     results = {
@@ -505,7 +523,8 @@ def _run_bounds(job: JobSpec):
         }
     if "rho" in job.parameters:
         try:
-            gsv, positive = gsv_from_rho(m, r, tau, job.parameters["rho"])
+            gsv, positive = _gsv_at_rho_with(constants, m, r, tau,
+                                             job.parameters["rho"])
         except ValueError as exc:
             raise JobFileError(f"[parameters] rho: {exc}") from None
         results["gsv_at_rho"] = gsv

@@ -372,9 +372,13 @@ def gsv_bounds_nondegenerate(m: int, r: int, tau: int) -> tuple[int, int]:
     dim V = m - r even:  [alpha + tau, eps_r + tau]
     dim V = m - r odd:   [eps_r - tau, alpha - tau]
     """
+    return _bounds_with(nondegenerate_bound_constants(m, r), m, r, tau)
+
+
+def _bounds_with(c: BoundConstants, m: int, r: int, tau: int):
+    """gsv_bounds_nondegenerate with the constants ``c`` of (m, r) given."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    c = nondegenerate_bound_constants(m, r)
     if (m - r) % 2 == 0:
         lo, hi = c.alpha + tau, c.eps_r + tau
     else:
@@ -394,9 +398,14 @@ def gsv_from_rho(m: int, r: int, tau: int, rho: int) -> tuple[int, bool]:
 
     rho for general codimension is an input, never computed here.
     """
+    return _gsv_at_rho_with(nondegenerate_bound_constants(m, r), m, r, tau,
+                            rho)
+
+
+def _gsv_at_rho_with(c: BoundConstants, m: int, r: int, tau: int, rho: int):
+    """gsv_from_rho with the constants ``c`` of (m, r) given."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    c = nondegenerate_bound_constants(m, r)
     if not 0 <= rho <= c.rho_range_max:
         raise ValueError(f"rho must lie in [0, {c.rho_range_max}], got {rho}")
     if (m - r) % 2 == 0:

@@ -36,7 +36,14 @@ low degree and their coefficients small.  Tracked rows are never truncated:
 their lifts, units and cofactors must re-expand exactly, and a dropped term
 of m^N would break that identity.
 
-An independent Macaulay-matrix oracle is provided for cross-checks.
+An independent Macaulay-matrix oracle, ``quotient_dim_macaulay``, is
+provided for cross-checks.  It keys each monomial as one integer whose
+digits are its degree and exponents, so that a row is multiplied by a
+monomial by adding that monomial's key, and it never inserts a multiple
+g*s*x_i of a row g*s that reduced to zero or was skipped: that row is a
+combination of earlier rows, whose multiples by x_i come earlier too, so
+the skipped multiple adds nothing to the span (the syzygy criterion of
+Faugere's F5).
 """
 
 from __future__ import annotations
@@ -348,9 +355,9 @@ MACAULAY_MAX_DEGREE = 24
 
 
 def _echelon_insert(pivots, row):
-    """Reduce the integer row ``{(degree, exps): coeff}`` against the
-    ``pivots`` (each keyed by its lowest column, columns ordered by degree
-    first) and file what is left under its lowest column.
+    """Reduce the integer row ``{column key: coeff}`` against the ``pivots``
+    (each keyed by its lowest column) and file what is left under its lowest
+    column.  True if the row filed a pivot, False if it reduced to zero.
 
     Each step scales the whole row, so the row stays an integer combination
     of the inserted rows and every entry sits at or after its pivot.
@@ -359,55 +366,79 @@ def _echelon_insert(pivots, row):
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
+            g = gcd(*row.values())
             pivots[lead] = {c: v // g for c, v in row.items()}
-            return
+            return True
         g = gcd(row[lead], pivot[lead])
         a, b = row[lead] // g, pivot[lead] // g
-        row = {c: v * b for c, v in row.items()}
+        if b != 1:
+            row = {c: v * b for c, v in row.items()}
         for c, v in pivot.items():
             acc = row.get(c, 0) - v * a
             if acc:
                 row[c] = acc
             else:
                 del row[c]
+    return False
 
 
 def quotient_dim_macaulay(gens: IdealGens) -> int:
     """Quotient dimension by linear algebra, independent of standard bases.
 
     One fraction-free echelon form of the monomial multiples g*s of the
-    generators, each row pivoting on its lowest-degree column; the multiples
-    of lowest degree D-1 join it at step D.  A row has no entry below its
+    generators, each row pivoting on its lowest column; the multiples of
+    lowest degree D-1 join it at step D.  A row has no entry below its
     pivot, so the pivots of degree < D are the rank of the multiples cut
     below degree D, and c(D) = C(D-1+n, n) - rank = dim O/(I + m^D).  At the
     first D with c(D) = c(D-1), m^(D-1) lies in I + m^D, hence in I by
     Nakayama's lemma, and c(D) is the dimension.
 
+    A monomial e is the integer key deg(e)*B^n + sum(e_i*B^i), with B
+    above every exponent a multiple can reach, so keys order columns by
+    degree first, multiplying by s adds key(s) to every key, and the pivots
+    of degree < D are the keys below D*B^n.  Within a step the rows join by
+    generator, then multiplier key.  A multiple g*s of degree k = deg s >= 1
+    joins only if g*(s/x_i) filed a pivot at step D-1 for every x_i dividing
+    s: a row that reduced to zero is a combination of earlier rows, and
+    their multiples by x_i come before g*s, so every skipped row lies in the
+    span of the rows already inserted and no c(D) changes.
+
     Only meaningful (and guaranteed to stabilize) for zero-dimensional
     ideals; raises InfiniteDimensionError past MACAULAY_MAX_DEGREE.
     """
     nvars = len(gens.variables)
+    base = 1 + MACAULAY_MAX_DEGREE + max(g.degree() for g in gens.generators)
+    top = base ** nvars
+    variable_keys = [top + base ** i for i in range(nvars)]
+
+    def key(e):
+        return sum(e) * top + sum(a * base ** i for i, a in enumerate(e))
+
     rows = []
     for g in gens.generators:
         scale = g.primitive_factor()
-        rows.append({(monomial_degree(e), e): int(c * scale)
-                     for e, c in g.terms.items()})
+        row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
+        rows.append((min(row)[0] // top, row))
+    multipliers = [[0]]  # by degree k: the keys of the monomials s, ascending
+    dead = [set() for _ in rows]  # the s whose g*s filed no pivot, per step
     pivots: dict = {}
     previous = None
     for degree in range(1, MACAULAY_MAX_DEGREE + 1):
-        for row in rows:
-            k = degree - 1 - min(row)[0]  # deg s, so that g*s starts at D-1
+        for j, (low, row) in enumerate(rows):
+            k = degree - 1 - low  # deg s, so that g*s starts at D-1
             if k < 0:
                 continue
-            for combo in itertools.combinations_with_replacement(range(nvars),
-                                                                 k):
-                shift = tuple(combo.count(i) for i in range(nvars))
-                _echelon_insert(pivots, {(d + k, monomial_mul(e, shift)): c
-                                         for (d, e), c in row.items()})
-        rank = sum(1 for d, _ in pivots if d < degree)
+            if k == len(multipliers):
+                multipliers.append(sorted({s + x for s in multipliers[-1]
+                                           for x in variable_keys}))
+            # skip g*s if some g*(s/x_i) filed no pivot at the last step
+            dead[j] = {s + x for s in dead[j] for x in variable_keys}
+            for s in multipliers[k]:
+                if s not in dead[j] and not _echelon_insert(
+                        pivots, {e + s: c for e, c in row}):
+                    dead[j].add(s)
+        bound = degree * top
+        rank = sum(1 for c in pivots if c < bound)
         corank = comb(degree - 1 + nvars, nvars) - rank
         if previous == corank:
             return corank

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gsvkit import cli
+from gsvkit import cli, indices
 from gsvkit.cli import load_job, main, render_report, run_job
+from gsvkit.localring import MACAULAY_MAX_DEGREE
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JOB = REPO / "golden" / "total_gsv_worked_example.job"
@@ -103,6 +104,29 @@ def test_bounds_mode(tmp_path, capsys):
     assert results["hi"] == -1
     assert results["eps_r"] == 0
     assert results["published_row"]["matches_formula"] is True
+
+
+def test_bounds_computes_its_constants_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = indices.nondegenerate_bound_constants
+
+    def counted(m, r):
+        calls.append((m, r))
+        return original(m, r)
+
+    monkeypatch.setattr(indices, "nondegenerate_bound_constants", counted)
+    monkeypatch.setattr(cli, "nondegenerate_bound_constants", counted)
+    job = BOUNDS_JOB.replace("ambient = 3", "ambient = 7") + "rho = 4\n"
+    code, out, _ = run_cli(capsys, "bounds", "--job",
+                           write_job(tmp_path, job), "--quiet")
+    assert code == 0
+    assert calls == [(7, 2)]
+    results = json.loads(out)["results"]
+    monkeypatch.undo()
+    assert (results["lo"], results["hi"]) == \
+        indices.gsv_bounds_nondegenerate(7, 2, 2)
+    assert (results["gsv_at_rho"], results["positive_at_rho"]) == \
+        indices.gsv_from_rho(7, 2, 2, 4)
 
 
 def test_bounds_mode_bigint_folding(tmp_path, capsys):
@@ -509,6 +533,41 @@ def test_tjurina_accepts_a_surface(tmp_path, capsys):
     report = json.loads(out)
     assert report["results"]["per_point"] == [0]
     assert report["oracle"] == {"agreement": True, "dimensions_checked": 1}
+
+
+ORACLE_CAP_JOB = """
+[job]
+mode = tjurina
+ambient = 2
+
+[curve]
+equations = "z1^2*z0^28 - z2^30"
+
+[points]
+point = 0 : 0, 0
+"""
+
+
+@pytest.mark.parametrize("mode,label", [("tjurina", "tau"),
+                                        ("milnor", "chain step 1")])
+def test_oracle_above_its_cap_keeps_the_results(tmp_path, capsys, mode,
+                                                label):
+    # an A_29 point: the staircase decides tau = mu = 29, the oracle would
+    # need degree 30, above MACAULAY_MAX_DEGREE
+    path = write_job(tmp_path, ORACLE_CAP_JOB.replace("tjurina", mode))
+    code, out, _ = run_cli(capsys, mode, "--job", path, "--quiet")
+    assert code == 0
+    plain = json.loads(out)
+    assert plain["results"]["per_point"] == [29]
+    code, out, _ = run_cli(capsys, mode, "--job", path, "--oracle", "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["results"] == plain["results"]
+    assert report["oracle"] == {"agreement": False, "dimensions_checked": 0}
+    assert report["anomalies"] == [
+        "oracle undecided at chart 0 point ['0', '0']: the Macaulay corank "
+        f"of {label} did not stabilize by degree {MACAULAY_MAX_DEGREE}; "
+        "staircase 29"]
 
 
 BARE_MULTIDEGREE_JOB = """

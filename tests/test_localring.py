@@ -439,6 +439,37 @@ def test_oracle_on_ci_batch_tjurina_ideal():
         quotient_dim_macaulay(IdealGens(ideal.generators[:3]))
 
 
+def test_oracle_skips_multiples_of_dependent_rows(monkeypatch):
+    # the heaviest Tjurina ideal of a ci-batch cycle: eliminating every
+    # multiple g*s took 4,281 rows, 2,023 of which reduced to zero
+    ideal = gens("x2^4 + 5*x1^3", "x3^3 - 3*x1^2", "x4^2 + 5*x1",
+                 "60*x2^3*x3^2", "48*x1*x2^3*x4", "90*x1^2*x3^2*x4",
+                 "24*x2^3*x3^2*x4", variables=X4)
+    assert quotient_dim(ideal) == 75
+    filed = []
+    insert = localring._echelon_insert
+
+    def counted(pivots, row):
+        filed.append(insert(pivots, row))
+        return filed[-1]
+
+    monkeypatch.setattr(localring, "_echelon_insert", counted)
+    assert quotient_dim_macaulay(ideal) == 75
+    assert filed.count(False) < 100
+    assert len(filed) < 3000
+
+
+def test_oracle_keys_at_the_edges():
+    # a tail of degree 40, far above the cap, must not overflow the digit
+    # of x into that of y
+    assert quotient_dim_macaulay(gens("x - y^40", "y^3", variables=X2)) == 3
+    # c(24) = c(23) = 23: stabilizes exactly at the cap ...
+    assert quotient_dim_macaulay(gens("x^23", "y", variables=X2)) == 23
+    # ... and one more is past it
+    with pytest.raises(InfiniteDimensionError):
+        quotient_dim_macaulay(gens("x^24", "y", variables=X2))
+
+
 PRIME = 2 ** 31 - 1
 
 
@@ -509,6 +540,48 @@ def nonunit_zero_dim_ideals(draw):
 @given(nonunit_zero_dim_ideals())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_oracle_staircase_and_prime_rank_agree(ideal):
+    staircase = quotient_dim(ideal)
+    assert quotient_dim_macaulay(ideal) == staircase
+    assert dim_mod_prime(ideal) == staircase
+
+
+@st.composite
+def dependent_zero_dim_ideals(draw):
+    """Four variables, five to seven generators: g_i = x_i^a_i + c_i t_i
+    (i = 1..4, t_i a monomial of degree above a_i, so the leading ideal
+    holds a pure power of every variable) and one to three more, each a
+    non-unit multiple of a monomial or u*g_i + v*g_j with monomials u, v.
+    The latter lie in the ideal already, so many of their multiples, and
+    of the g_i, are dependent."""
+    n = 4
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    monomial = st.tuples(*[st.integers(0, 1)] * n)
+    nonunits = st.sampled_from([6, 10, 15, -12])
+    generators = []
+    for i in range(n):
+        a = draw(st.integers(1, 2))
+        tail = draw(st.tuples(*[st.integers(0, 2)] * n).filter(
+            lambda e, a=a: sum(e) > a))
+        generators.append(Polynomial(variables, {
+            tuple(a if k == i else 0 for k in range(n)): 1,
+            tail: draw(st.sampled_from([-5, -2, 3]))}))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            extra = (Polynomial(variables, {draw(monomial): draw(nonunits)})
+                     * generators[i]
+                     + Polynomial(variables, {draw(monomial): 1})
+                     * generators[j])
+        else:
+            exps = draw(monomial.filter(lambda e: sum(e) >= 2))
+            extra = Polynomial(variables, {exps: draw(nonunits)})
+        generators.append(extra)
+    return IdealGens(tuple(generators))
+
+
+@given(dependent_zero_dim_ideals())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_oracle_with_dependent_generators_in_four_variables(ideal):
     staircase = quotient_dim(ideal)
     assert quotient_dim_macaulay(ideal) == staircase
     assert dim_mod_prime(ideal) == staircase
