@@ -5,7 +5,8 @@ c(TX) * c(N)^{-1}.  Its graded pieces d_0..d_T can be unrolled three ways,
 each returning the whole sequence at once:
 
   1. a triangular recursion  d_j = c_j(TX) - c_j(N) - sum c_{j-i}(N) d_i,
-  2. a closed expansion over integer compositions (multi-indices), and
+  2. the closed multi-index expansion, each sum over the multi-indices
+     of j taken over the partitions of j with signed counts, and
   3. truncated power-series inversion of the total class of N.
 
 These agree symbolically -- demonstrated below with abstract generators,
@@ -22,16 +23,10 @@ from gsvkit import (
     chern_difference_inversion,
     chern_difference_recursion,
     closed_form_gsv,
-    compositions,
     inverse_total_class,
     total_gsv_integral_projective,
 )
 
-print("=== compositions (multi-indices) ===")
-for j, i in [(3, 2), (4, 2), (5, 3)]:
-    print(f"compositions of {j} into {i} parts:", compositions(j, i))
-
-print()
 print("=== abstract difference classes, truncation degree 4 ===")
 names = {f"a{t}": t for t in range(1, 5)}
 names.update({f"b{t}": t for t in range(1, 5)})

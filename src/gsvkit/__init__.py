@@ -7,7 +7,6 @@ from .cherncalc import (
     chern_difference_expansion,
     chern_difference_inversion,
     chern_difference_recursion,
-    compositions,
     elementary_symmetric,
     inverse_total_class,
     total_gsv_integral_projective,

@@ -9,8 +9,8 @@ Each monomial is keyed once, as (degree, sorted generator names), by
 The classes d_0..d_T of the virtual difference of two bundles (T the
 truncation degree) are computed three independent ways, each returning the
 whole sequence in one pass: a triangular recursion, the closed multi-index
-expansion over compositions (factored as d_t = sum_j c_{t-j}(TX) e_j, with
-e_j the signed sum over compositions of j), and truncated power-series
+expansion (d_t = sum_j c_{t-j}(TX) e_j, e_j the signed sum over the
+multi-indices of j, grouped by partition), and truncated power-series
 inversion of the total class.  The three must agree symbolically.
 Specializing to projective space (one degree-1 generator h) evaluates the
 total-index integrand of a split bundle exactly.
@@ -220,20 +220,21 @@ class ChernVector:
         return sum(self.classes, self.ring.one())
 
 
-def compositions(j: int, i: int) -> list[tuple[int, ...]]:
-    """All compositions of j into i positive parts, lexicographic order.
-
-    There are C(j-1, i-1) of them.
-    """
-    if i < 1 or i > j:
-        raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    if i == 1:
-        return [(j,)]
-    out = []
-    for first in range(1, j - i + 2):
-        for rest in compositions(j - first, i - 1):
-            out.append((first,) + rest)
-    return out
+def _signed_partitions(j: int, largest: int | None = None):
+    """(weight, parts) for each partition of j, parts largest first and at
+    most ``largest`` (default j).  The weight (-1)^i i!/prod_k m_k! (i parts,
+    m_k repeats of part k) is the signed count of the multi-indices
+    |L_i| = j that reorder the parts, which give one product in a
+    commutative ring; the empty partition of 0 has weight 1."""
+    if j == 0:
+        yield 1, ()
+    for part in range(j if largest is None else min(j, largest), 0, -1):
+        for repeats in range(1, j // part + 1):
+            # the repeats take C(i, repeats) of the i slots of a multi-index
+            for weight, rest in _signed_partitions(j - repeats * part,
+                                                   part - 1):
+                yield ((-1) ** repeats * comb(repeats + len(rest), repeats)
+                       * weight, (part,) * repeats + rest)
 
 
 def inverse_total_class(c: ChernVector) -> GradedElement:
@@ -276,19 +277,18 @@ def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
 
     with the common factor c_{t-j}(TX) pulled out: d_t = sum_{j=0}^{t}
     c_{t-j}(TX) e_j, where e_0 = 1 and
-    e_j = sum_{i=1}^{j} (-1)^i sum_{|L_i| = j} c_{l_1}(N) ... c_{l_i}(N).
+    e_j = sum_{i=1}^{j} (-1)^i sum_{|L_i| = j} c_{l_1}(N) ... c_{l_i}(N),
+    summed over the partitions of j by their signed counts.
     """
     ring = c_tx.ring
-    e = [ring.one()]
-    for j in range(1, ring.truncation + 1):
+    e = []
+    for j in range(ring.truncation + 1):
         acc = ring.zero()
-        for i in range(1, j + 1):
-            sign = (-1) ** i
-            for parts in compositions(j, i):
-                prod = ring.one()
-                for l in parts:
-                    prod = prod * c_n.class_at(l)
-                acc = acc + sign * prod
+        for weight, parts in _signed_partitions(j):
+            term = ring.one()
+            for l in parts:
+                term = term * c_n.class_at(l)
+            acc = acc + weight * term
         e.append(acc)
     return tuple(sum((c_tx.class_at(t - j) * e[j] for j in range(t + 1)),
                      ring.zero())

@@ -130,15 +130,6 @@ class HMatrix:
 
     rows: tuple[MembershipCertificate, ...]
 
-    def verify(self, germ: CurveGerm, v: VectorFieldGerm) -> bool:
-        for i, row in enumerate(self.rows):
-            acc = row.unit * directional_derivative(germ.equations[i], v)
-            for cof, g in zip(row.cofactors, germ.equations):
-                acc = acc - cof * g
-            if not acc.is_zero() or not row.unit.constant_term:
-                return False
-        return True
-
 
 def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
     """Certify tangency of v to the germ, or raise NotInvariantError.

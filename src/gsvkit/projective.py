@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .cherncalc import compositions, elementary_symmetric
+from .cherncalc import _signed_partitions, elementary_symmetric
 from .errors import DuplicatePointError, GsvkitError, PointNotOnCurveError
 from .indices import (
     CurveGerm,
@@ -170,6 +170,9 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
         + sum_{j=1}^{t} sum_{i=1}^{j} sum_{|L_i|=j}
             (-1)^i C(m+1, t-j) prod_s e_{l_s}(k) ] (d-1)^(m-r-t)
 
+    The inner sum E_j does not depend on t; it is summed once per j over
+    the partitions of j by their signed counts, and the bracket becomes
+    sum_{j=0}^{t} C(m+1, t-j) E_j with E_0 = 1.
     For r = m-1 this collapses to prod(k) * (d + m - sum(k)).
     """
     ks = list(ks)
@@ -180,16 +183,14 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
         raise ValueError("multidegree entries must be positive")
     if d < 0:
         raise ValueError("foliation degree must be non-negative")
-    total = 0
-    for t in range(0, m - r + 1):
-        coeff = comb(m + 1, t)
-        for j in range(1, t + 1):
-            for i in range(1, j + 1):
-                sign = (-1) ** i
-                for parts in compositions(j, i):
-                    coeff += sign * comb(m + 1, t - j) * prod(
-                        elementary_symmetric(l, ks) for l in parts)
-        total += coeff * (d - 1) ** (m - r - t)
+    top = m - r
+    e = [elementary_symmetric(l, ks) for l in range(top + 1)]
+    big_e = [0] * (top + 1)
+    for j in range(top + 1):
+        for weight, parts in _signed_partitions(j):
+            big_e[j] += weight * prod([e[l] for l in parts])
+    total = sum(comb(m + 1, t - j) * big_e[j] * (d - 1) ** (top - t)
+                for t in range(top + 1) for j in range(t + 1))
     return total * prod(ks)
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from math import comb, prod
 
 import pytest
 
@@ -9,10 +11,10 @@ from gsvkit.cherncalc import (
     ChernVector,
     GradedElement,
     GradedRing,
+    _signed_partitions,
     chern_difference_expansion,
     chern_difference_inversion,
     chern_difference_recursion,
-    compositions,
     elementary_symmetric,
     inverse_total_class,
     total_gsv_integral_projective,
@@ -34,35 +36,34 @@ def abstract_pair(m, rank_tx=None, rank_n=None):
 
 
 # ---------------------------------------------------------------------------
-# compositions
+# signed partitions
 
-def test_compositions_examples():
-    assert compositions(3, 2) == [(1, 2), (2, 1)]
-    assert compositions(3, 3) == [(1, 1, 1)]
-    assert len(compositions(5, 3)) == 6
-
-
-def test_compositions_brute_force_oracle():
-    for j in range(1, 8):
+def test_signed_partitions_group_brute_force_multi_indices():
+    for j in range(1, 11):
+        signed_sizes = Counter()
         for i in range(1, j + 1):
-            brute = sorted(
-                parts for parts in itertools.product(range(1, j + 1), repeat=i)
-                if sum(parts) == j)
-            got = compositions(j, i)
-            assert got == brute
-            assert len(got) == _comb(j - 1, i - 1)
+            # each of the i parts is at most j - i + 1
+            for parts in itertools.product(range(1, j - i + 2), repeat=i):
+                if sum(parts) == j:
+                    signed_sizes[tuple(sorted(parts, reverse=True))] += (-1) ** i
+        got = list(_signed_partitions(j))
+        assert len({parts for _, parts in got}) == len(got)
+        assert {parts: weight for weight, parts in got} == signed_sizes
 
 
-def _comb(n, k):
-    from math import comb
-    return comb(n, k)
+def test_signed_partition_weights_count_the_multi_indices():
+    assert list(_signed_partitions(0)) == [(1, ())]
+    for j in range(1, 19):
+        got = list(_signed_partitions(j))
+        assert sum(abs(weight) for weight, _ in got) == 2 ** (j - 1)
+        for i in range(1, j + 1):
+            assert sum(weight for weight, parts in got if len(parts) == i) \
+                == (-1) ** i * comb(j - 1, i - 1)
 
 
-def test_compositions_range_errors():
-    with pytest.raises(ValueError):
-        compositions(2, 3)
-    with pytest.raises(ValueError):
-        compositions(2, 0)
+def test_partition_counts():
+    assert sum(1 for _ in _signed_partitions(13)) == 101
+    assert sum(1 for _ in _signed_partitions(18)) == 385
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +385,31 @@ def test_integral_matches_closed_form_sampled_grid():
         d = rng.randint(0, 5)
         assert total_gsv_integral_projective(m, ks, d) \
             == closed_form_gsv(m, ks, d)
+
+
+def series_total_gsv(m, ks, d):
+    """prod(k) [h^(m-r)] (1+h)^(m+1) / prod(1 + k_i h) / (1 - (d-1)h), by
+    dividing the truncated series one linear factor at a time."""
+    top = m - len(ks)
+    series = [comb(m + 1, t) for t in range(top + 1)]
+    for k in ks:
+        for t in range(1, top + 1):
+            series[t] -= k * series[t - 1]
+    for t in range(1, top + 1):
+        series[t] += (d - 1) * series[t - 1]
+    return prod(ks) * series[top]
+
+
+def test_closed_form_matches_power_series():
+    assert series_total_gsv(3, (3, 2), 1) == -6
+    rng = random.Random(2026)
+    for m in range(2, 19):
+        for sample in range(6):
+            r = rng.randint(1, m - 1)
+            ks = tuple(rng.randint(1, 5) for _ in range(r))
+            d = rng.randint(0, 6)
+            want = series_total_gsv(m, ks, d)
+            assert closed_form_gsv(m, ks, d) == want, (m, ks, d)
+            if sample == 0:  # one integral per m: it costs the most
+                assert total_gsv_integral_projective(m, ks, d) == want, \
+                    (m, ks, d)

@@ -244,6 +244,19 @@ def test_chern_check_mode(tmp_path, capsys):
     assert results["equal"] is True
 
 
+def test_chern_check_at_the_ambient_cap(tmp_path, capsys):
+    job = ("[job]\nmode = chern-check\n"
+           f"ambient = {cli.CHERN_CHECK_MAX_AMBIENT}\n"
+           "[parameters]\nk = 3\ndegree = 2\n")
+    code, out, _ = run_cli(capsys, "chern-check", "--job",
+                           write_job(tmp_path, job), "--quiet")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["triple_agreement"] is True
+    assert results["integral"] == results["closed_form"] == 262143
+    assert results["equal"] is True
+
+
 def test_chern_check_calls_each_route_once(tmp_path, capsys, monkeypatch):
     calls = []
     for name in ("chern_difference_recursion", "chern_difference_expansion",

@@ -86,7 +86,6 @@ def test_certificate_diagonal():
     assert h.rows[0].cofactors == (P("6"), P("0"))
     assert h.rows[1].unit == P("1")
     assert h.rows[1].cofactors == (P("0"), P("6"))
-    assert h.verify(germ(*CUSP_GERM), field(*CUSP_FIELD))
 
 
 def test_certificate_radial_on_axis():
