@@ -28,7 +28,7 @@ class VariableMismatchError(GsvkitError):
 
 class IterationLimitError(GsvkitError):
     """A division or completion loop used up the library's fixed budget of
-    reduction steps."""
+    reduction steps, or reached a degree past its packed exponent fields."""
 
 
 class InfiniteDimensionError(GsvkitError):

@@ -3,21 +3,43 @@
 All computations use one local order, anti-degree reverse-lexicographic
 (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.2):
 lower total degree ranks larger, ties are broken reverse-lexicographically,
-so the constant monomial 1 beats every other monomial.  They work on rows:
-a row is a tuple ``(polynomial, *bookkeeping)`` whose entries all undergo
-the same linear steps, so an invariant linear in the row, such as
-``row[0] = sum(row[1 + j] * g_j)`` over some fixed generators g_j, holds
-for every row derived from rows that satisfy it.  Division is Mora's weak
-normal form with ecart-controlled divisor selection, which terminates for
-local orders; completion is Buchberger-style over S-pairs with the
-product criterion.  Each caller chooses the row width:
+so the constant monomial 1 beats every other monomial.  Division is Mora's
+weak normal form with ecart-controlled divisor selection, which terminates
+for local orders; completion is Buchberger-style over S-pairs with the
+product criterion.
 
-  quotient_dim               bare rows ``(p,)``: no bookkeeping at all;
+Both work on packed integer rows, converted from and to ``Polynomial`` only
+at this module's public functions.  A monomial in n variables is one
+integer key ``deg << (W*n) | e_{n-1} << (W*(n-1)) | ... | e_0`` with W-bit
+exponent fields (Monagan-Pearce, *Sparse polynomial division using a
+heap*; Bachmann-Schoenemann, *Monomial representations for Groebner bases
+computations*).  The smallest key is the leading monomial of the local
+order, so a lead is ``min(p)``; multiplying by a monomial adds its key; the
+top bit of each exponent field is a guard bit, so ``a`` divides ``b``
+exactly when ``(b - a) & guard`` is 0, a borrow out of any field setting
+its guard bit; and the terms of degree below N are the keys below
+``N << (W*n)``.  Exponents must stay below the guard bit: a row whose
+degree reaches ``2**(W-1)`` raises IterationLimitError.
+
+A row is a list of ``{key: integer coefficient}`` dicts whose entries all
+undergo the same linear steps, so an invariant linear in the row, such as
+``row[0] = sum(row[1 + j] * g_j)`` over some fixed generators g_j, holds
+for every row derived from rows that satisfy it.  Row 0 drives the
+reduction.  Every step scales the whole row by a positive integer: a Mora
+step by ``|lc_r|/g`` against a reducer with leading coefficient ``lc_r``,
+an S-pair of leading coefficients lc_i, lc_j by ``sign(lc_i)*|lc_j|/g`` and
+``sign(lc_j)*|lc_i|/g``, and each row is divided by the positive gcd of all
+its coefficients.  So every row is a positive multiple of the row the same
+steps give over the rationals with row 0 kept primitive, and dividing by
+the content of row 0 returns exactly those elements, lifts and
+certificates.  Each caller chooses the row width:
+
+  quotient_dim               bare rows ``[p]``: no bookkeeping at all;
                              the dimension is the staircase count of the
                              leading ideal
-  standard_basis             rows ``(p, lift over the generators)``, so
+  standard_basis             rows ``[p, lift over the generators]``, so
                              each basis element comes with its lift
-  membership_with_cofactors  rows ``(p, unit, cofactors)``, which certify
+  membership_with_cofactors  rows ``[p, unit, cofactors]``, which certify
                              ``unit * p = sum(cofactor_j * g_j)`` exactly
                              with the unit invertible at the origin
 
@@ -49,9 +71,10 @@ Faugere's F5).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     InfiniteDimensionError,
@@ -63,10 +86,7 @@ from .poly import (
     Exponents,
     Polynomial,
     monomial_degree,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
-    monomial_mul,
 )
 
 DEFAULT_STEP_LIMIT = 10 ** 6
@@ -127,17 +147,6 @@ class StandardBasis:
     lifts: tuple[tuple[Polynomial, ...], ...]
 
 
-def _local_key(exps: Exponents):
-    """Sort key of the local order: larger key means larger monomial."""
-    return -sum(exps), tuple(-e for e in reversed(exps))
-
-
-def _leading(p: Polynomial) -> tuple[Exponents, Fraction]:
-    """(exponents, coefficient) of the leading term of a nonzero p."""
-    exps = max(p.terms, key=_local_key)
-    return exps, p.terms[exps]
-
-
 class _Budget:
     __slots__ = ("left",)
 
@@ -152,120 +161,206 @@ class _Budget:
                 "for an exact local standard basis")
 
 
-def _times(row, exps, coeff):
-    return tuple(p.mul_term(exps, coeff) for p in row)
+# ---------------------------------------------------------------------------
+# packed keys and rows
+
+_FIELD = 16  # bits per exponent field, the top one the guard bit
+_MASK = (1 << _FIELD) - 1
+_DEGREE_LIMIT = 1 << (_FIELD - 1)  # the guard bit of field 0
 
 
-def _minus(row, other):
-    return tuple(p - q for p, q in zip(row, other))
+def _key(exps: Exponents) -> int:
+    key = sum(exps)
+    for e in reversed(exps):
+        key = key << _FIELD | e
+    return key
+
+
+def _exponents(key: int, nvars: int) -> Exponents:
+    return tuple(key >> (_FIELD * i) & _MASK for i in range(nvars))
+
+
+def _guard(nvars: int) -> int:
+    return sum(_DEGREE_LIMIT << (_FIELD * i) for i in range(nvars))
+
+
+def _check_degree(degree, step):
+    if degree >= _DEGREE_LIMIT:
+        raise IterationLimitError(
+            f"degree {degree} in the {step} reached the exponent limit "
+            f"{_DEGREE_LIMIT} of the local standard basis")
+
+
+def _pack(polys):
+    """The row of ``polys`` over one positive common denominator."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+    return [{_key(e): c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in polys]
+
+
+def _unpack(row, variables, scale):
+    """The entries of ``row`` as polynomials, divided by ``scale``."""
+    nvars = len(variables)
+    shift = _FIELD * nvars
+    polys = []
+    for entry in row:
+        terms = {}
+        for key, c in entry.items():
+            exps = _exponents(key, nvars)
+            if sum(exps) != key >> shift:  # a carry out of an exponent field
+                raise InternalCheckError(
+                    f"exponent past {_MASK} in a local standard basis row")
+            terms[exps] = Fraction(c, scale)
+        polys.append(Polynomial._raw(variables, terms))
+    return tuple(polys)
 
 
 def _primitive(row):
-    """The row scaled by the primitive factor of its first entry."""
-    scale = row[0].primitive_factor()
-    return row if scale == 1 else tuple(p.scaled(scale) for p in row)
+    """The row divided by the positive gcd of all its coefficients."""
+    g = 0
+    for entry in row:
+        g = gcd(g, *entry.values())
+        if g == 1:
+            return row
+    return [{k: c // g for k, c in entry.items()} for entry in row]
 
 
-def _cut(row, corner):
-    """The bare row ``(p,)`` without the terms of p of degree >= corner."""
+def _combine(a, row, shift_a, b, other, shift_b, cut=None):
+    """The row ``a * x^shift_a * row - b * x^shift_b * other``, dropping
+    every key at or above ``cut`` when given."""
+    out = []
+    for entry, sub in zip(row, other):
+        if cut is None:
+            acc = {k + shift_a: c * a for k, c in entry.items()}
+        else:
+            below = cut - shift_a
+            acc = {k + shift_a: c * a for k, c in entry.items() if k < below}
+        for k, c in sub.items():
+            k += shift_b
+            if cut is not None and k >= cut:
+                continue
+            c = acc.get(k, 0) - b * c
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+        out.append(acc)
+    return out
+
+
+def _reducer(row, shift):
+    """Pool entry (row, lead key, lead coefficient, ecart), where the ecart
+    is the total degree spread between row 0 and its leading term."""
     p = row[0]
-    return (Polynomial._raw(p.variables, {e: c for e, c in p.terms.items()
-                                          if monomial_degree(e) < corner}),)
+    lead = min(p)
+    return row, lead, p[lead], (max(p) >> shift) - (lead >> shift)
 
 
-def _mora(row, basis, budget, corner=None):
-    """Weak normal form of ``row[0]`` against the first entries of the
-    ``basis`` rows, with every step applied to the whole row.
+def _mora(row, reducers, budget, nvars, cut=None):
+    """Weak normal form of ``row[0]`` against the ``reducers`` (entries of
+    ``_reducer``), with every step applied to the whole row.
 
-    The returned row r satisfies u * row[0] = sum(q_k * basis_k[0]) + r[0]
-    for some unit u and polynomials q_k, and r[0] is primitive or zero;
-    with a ``corner`` N (bare rows only) the identity holds modulo m^N and
-    r[0] has no term of degree >= N.
+    The returned row r satisfies u * row[0] = sum(q_k * reducer_k[0]) + r[0]
+    up to a positive scale, for some unit u and polynomials q_k, and r is
+    primitive or r[0] is zero; with a ``cut`` N << (W*n) (bare rows only)
+    the identity holds modulo m^N and r[0] has no term of degree >= N.
     """
-    # reducer pool entries: (row, lead exps, lead coeff, ecart), where the
-    # ecart is the total degree spread between a row and its leading term
-    pool = []
-    for b in basis:
-        lead, lc = _leading(b[0])
-        pool.append((b, lead, lc, b[0].degree() - monomial_degree(lead)))
+    shift = _FIELD * nvars
+    guard = _guard(nvars)
+    pool = list(reducers)
     h = row
-    while not h[0].is_zero():
+    while h[0]:
         h = _primitive(h)
-        lead_h, lc_h = _leading(h[0])
-        best = None
-        best_key = None
-        for idx, entry in enumerate(pool):
-            if monomial_divides(entry[1], lead_h):
-                key = (entry[3], idx)
-                if best_key is None or key < best_key:
-                    best, best_key = entry, key
+        p = h[0]
+        degree = max(p) >> shift
+        _check_degree(degree, "normal form")
+        lead = min(p)
+        lc = p[lead]
+        best = None  # the first divisor of least ecart
+        for entry in pool:
+            if not (lead - entry[1]) & guard and (best is None
+                                                  or entry[3] < best[3]):
+                best = entry
+                if not best[3]:
+                    break
         if best is None:
             break
         budget.spend()
-        ec_h = h[0].degree() - monomial_degree(lead_h)
-        if best[3] > ec_h:
-            pool.append((h, lead_h, lc_h, ec_h))
-        h = _minus(h, _times(best[0], monomial_div(lead_h, best[1]),
-                             lc_h / best[2]))
-        if corner is not None:
-            h = _cut(h, corner)
+        ecart = degree - (lead >> shift)
+        if best[3] > ecart:
+            pool.append((h, lead, lc, ecart))
+        other, lead_r, lc_r, _ = best
+        g = gcd(lc, lc_r)
+        h = _combine(abs(lc_r) // g, h, 0, (lc if lc_r > 0 else -lc) // g,
+                     other, lead - lead_r, cut)
     return h
 
 
-def _complete(rows, truncate=False):
-    """Standard basis rows of the ideal of the rows' first entries.
+def _complete(rows, nvars, truncate=False):
+    """Standard basis rows of the ideal of the rows' first entries, and the
+    exponents of their leading monomials.
 
     With ``truncate`` (bare rows only) every term at or above the highest
     corner is dropped once there is one: the rows then have the leading
     ideal of the input but equal its elements only modulo m^N.
     """
     budget = _Budget(DEFAULT_STEP_LIMIT)
+    shift = _FIELD * nvars
+    for row in rows:
+        _check_degree(max(row[0]) >> shift, "completion")
     basis = [_primitive(row) for row in rows]
-    leads = [_leading(row[0]) for row in basis]
-    nvars = len(basis[0][0].variables)
-    corner = None
+    reducers = [_reducer(row, shift) for row in basis]
+    leads = [_exponents(entry[1], nvars) for entry in reducers]
+    cut = None
     grew = truncate
-    pairs = list(itertools.combinations(range(len(basis)), 2))
+    pairs = deque(itertools.combinations(range(len(basis)), 2))
     while pairs:
         if grew:
             grew = False
-            new_corner = _corner([lead for lead, _ in leads], nvars)
-            if new_corner != corner:
-                corner = new_corner
-                basis = [row if monomial_degree(lead) >= corner
-                         else _cut(row, corner)
-                         for row, (lead, _) in zip(basis, leads)]
-        i, j = pairs.pop(0)
-        (lead_i, lc_i), (lead_j, lc_j) = leads[i], leads[j]
-        both = monomial_lcm(lead_i, lead_j)
-        if both == monomial_mul(lead_i, lead_j):
+            corner = _corner(leads, nvars)
+            if corner is not None and corner << shift != cut:
+                cut = corner << shift
+                basis = [row if lead >= cut
+                         else [{k: c for k, c in row[0].items() if k < cut}]
+                         for row, (_, lead, _, _) in zip(basis, reducers)]
+                reducers = [_reducer(row, shift) for row in basis]
+        i, j = pairs.popleft()
+        _, lead_i, lc_i, _ = reducers[i]
+        _, lead_j, lc_j, _ = reducers[j]
+        both = _key(tuple(map(max, leads[i], leads[j])))
+        if both == lead_i + lead_j:
             continue  # product criterion
-        s = _minus(_times(basis[i], monomial_div(both, lead_i), 1 / lc_i),
-                   _times(basis[j], monomial_div(both, lead_j), 1 / lc_j))
-        if corner is not None:
-            s = _cut(s, corner)
-        rem = _mora(s, basis, budget, corner)
-        if rem[0].is_zero():
+        g = gcd(lc_i, lc_j)
+        a = abs(lc_j) // g if lc_i > 0 else -abs(lc_j) // g
+        b = abs(lc_i) // g if lc_j > 0 else -abs(lc_i) // g
+        s = _combine(a, basis[i], both - lead_i, b, basis[j], both - lead_j,
+                     cut)
+        rem = _mora(s, reducers, budget, nvars, cut)
+        if not rem[0]:
             continue
-        new_index = len(basis)
         basis.append(rem)
-        pairs.extend((k, new_index) for k in range(new_index))
-        leads.append(_leading(rem[0]))
+        reducers.append(_reducer(rem, shift))
+        leads.append(_exponents(reducers[-1][1], nvars))
+        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
         grew = truncate
-    return basis
+    return basis, leads
 
 
 def standard_basis(gens: IdealGens) -> StandardBasis:
     """Buchberger-style completion with Mora normal form and lift tracking."""
+    variables = gens.variables
     n = len(gens.generators)
-    zero = Polynomial.zero(gens.variables)
-    one = Polynomial.constant(gens.variables, 1)
-    basis = _complete([(g,) + tuple(one if k == j else zero for k in range(n))
-                       for j, g in enumerate(gens.generators)])
-    elements = tuple(row[0] for row in basis)
-    return StandardBasis(elements,
-                         tuple(_leading(p)[0] for p in elements),
-                         tuple(row[1:] for row in basis))
+    zero = Polynomial.zero(variables)
+    one = Polynomial.constant(variables, 1)
+    basis, leads = _complete(
+        [_pack((g,) + tuple(one if k == j else zero for k in range(n)))
+         for j, g in enumerate(gens.generators)], len(variables))
+    rows = [_unpack(row, variables, gcd(*row[0].values())) for row in basis]
+    return StandardBasis(tuple(row[0] for row in rows), tuple(leads),
+                         tuple(row[1:] for row in rows))
 
 
 def _staircase(leads: list[Exponents], nvars: int):
@@ -307,9 +402,10 @@ def quotient_dim(gens: IdealGens):
     Finite exactly when the leading ideal contains a pure power of every
     variable; the value is then the number of staircase monomials.
     """
-    basis = _complete([(g,) for g in gens.generators], truncate=True)
-    return _staircase_count([_leading(row[0])[0] for row in basis],
-                            len(gens.variables))
+    nvars = len(gens.variables)
+    _, leads = _complete([_pack((g,)) for g in gens.generators], nvars,
+                         truncate=True)
+    return _staircase_count(leads, nvars)
 
 
 def membership_with_cofactors(targets, gens: IdealGens):
@@ -320,24 +416,29 @@ def membership_with_cofactors(targets, gens: IdealGens):
     unit * p = sum(cofactors_i * gens_i) exactly and unit(0) = 1, or raises
     NotMemberError whose ``index`` is the first target outside the ideal.
     """
-    zero = Polynomial.zero(gens.variables)
-    start = ((Polynomial.constant(gens.variables, 1),)
+    variables = gens.variables
+    nvars = len(variables)
+    zero = Polynomial.zero(variables)
+    start = ((Polynomial.constant(variables, 1),)
              + (zero,) * len(gens.generators))
     sb = standard_basis(gens)
-    # rows (p, unit, cofactors) with p = unit * target + sum(cofactor_j * g_j)
-    basis = [(b, zero) + lift for b, lift in zip(sb.elements, sb.lifts)]
+    # rows [p, unit, cofactors] with p = unit * target + sum(cofactor_j * g_j)
+    reducers = [_reducer(_pack((b, zero) + lift), _FIELD * nvars)
+                for b, lift in zip(sb.elements, sb.lifts)]
     budget = _Budget(DEFAULT_STEP_LIMIT)
     certificates = []
     for index, p in enumerate(targets):
-        rem = _mora((p,) + start, basis, budget)
-        if not rem[0].is_zero():
+        rem = _mora(_pack((p,) + start), reducers, budget, nvars)
+        if rem[0]:
+            normal_form = _unpack(rem[:1], variables,
+                                  gcd(*rem[0].values()))[0]
             raise NotMemberError(
                 f"target {index}: {p} is not in the local ideal "
-                f"(normal form {rem[0]})", index)
+                f"(normal form {normal_form})", index)
         # 0 = u * p + sum(c_j * g_j); normalize so the unit is 1 at 0
-        scale = Fraction(1) / rem[1].constant_term
-        unit = rem[1].scaled(scale)
-        cofactors = tuple(c.scaled(-scale) for c in rem[2:])
+        unit_at_0 = rem[1].get(0, 0)
+        unit = _unpack(rem[1:2], variables, unit_at_0)[0]
+        cofactors = _unpack(rem[2:], variables, -unit_at_0)
         check = unit * p
         for c, g in zip(cofactors, gens.generators):
             check = check - c * g

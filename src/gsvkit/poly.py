@@ -41,15 +41,6 @@ def monomial_divides(a: Exponents, b: Exponents) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponents of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def _print_key(exps: Exponents):
     """Degrevlex sort key for printing: larger key is printed first."""
     return sum(exps), tuple(-e for e in reversed(exps))

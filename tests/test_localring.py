@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,19 @@ from gsvkit.errors import (
 from gsvkit.localring import (
     INFINITE,
     IdealGens,
+    _DEGREE_LIMIT,
+    _FIELD,
     _Budget,
     _corner,
-    _leading,
-    _local_key,
+    _exponents,
+    _guard,
+    _key,
     _mora,
+    _pack,
+    _reducer,
     _staircase,
     _staircase_count,
+    _unpack,
     membership_with_cofactors,
     quotient_dim,
     quotient_dim_macaulay,
@@ -46,20 +53,71 @@ def gens(*texts, variables=X3):
 
 
 # ---------------------------------------------------------------------------
-# the local order
+# the local order and its packed keys
+
+def local_order(exps):
+    """The local order written out: a larger value is a larger monomial."""
+    return -sum(exps), tuple(-e for e in reversed(exps))
+
+
+def lead(p):
+    """(exponents, coefficient) of the leading term of a nonzero integer p."""
+    row = _pack((p,))[0]
+    key = min(row)
+    return _exponents(key, len(p.variables)), row[key]
+
 
 def test_local_order_constant_is_largest():
     one = (0, 0, 0)
     for exps in [(1, 0, 0), (0, 2, 0), (1, 1, 1)]:
-        assert _local_key(one) > _local_key(exps)
+        # the smallest key is the largest monomial
+        assert _key(one) < _key(exps)
         # printing runs the other way: a degree order puts 1 last
         assert str(Polynomial(X3, {one: 1, exps: 1})).endswith(" + 1")
 
 
 def test_local_leading_term_prefers_low_degree():
-    exps, coeff = _leading(P("x3^2 - x1"))
+    exps, coeff = lead(P("x3^2 - x1"))
     assert exps == (1, 0, 0)
     assert coeff == -1
+
+
+def test_key_order_is_the_local_order():
+    rng = random.Random(5)
+    for nvars in range(1, 5):
+        monomials = list({tuple(rng.randint(0, 6) for _ in range(nvars))
+                          for _ in range(300)})
+        assert (sorted(monomials, key=_key)
+                == sorted(monomials, key=local_order, reverse=True))
+        for exps in monomials:
+            assert _exponents(_key(exps), nvars) == exps
+
+
+def test_guard_bit_divisibility_is_componentwise():
+    rng = random.Random(6)
+    top = _DEGREE_LIMIT - 1  # the largest exponent below the guard bit
+    for nvars in range(1, 5):
+        guard = _guard(nvars)
+        for _ in range(400):
+            a, b = (tuple(rng.choice([0, 1, 2, 3, top - 1, top])
+                          for _ in range(nvars)) for _ in range(2))
+            divides = not (_key(b) - _key(a)) & guard
+            assert divides == all(x <= y for x, y in zip(a, b))
+            # multiplying by a monomial adds its key
+            assert _key(a) + _key(b) == _key(tuple(map(sum, zip(a, b))))
+
+
+def test_exponent_field_guard():
+    power = 2 ** (_FIELD - 1)
+    assert power == _DEGREE_LIMIT
+    assert quotient_dim(gens(f"x^{power - 1}", variables=X1)) == power - 1
+    with pytest.raises(IterationLimitError,
+                       match=f"degree {power} in the completion"):
+        quotient_dim(gens(f"x^{power}", variables=X1))
+    with pytest.raises(IterationLimitError,
+                       match=f"degree {power} in the normal form"):
+        membership_with_cofactors([P(f"x^{power}", X1)],
+                                  gens("x", variables=X1))
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +126,24 @@ def test_local_leading_term_prefers_low_degree():
 def mora(p, g, steps=10 ** 6):
     """(unit, cofactors, remainder) of _mora against g's generators, read
     off rows (h, u, c_1..c_n) with h = u * p + sum(c_i * g_i): the dividend
-    row is (p, 1, 0..0) and generator i has the row (g_i, 0, e_i)."""
+    row is (p, 1, 0..0) and generator i has the row (g_i, 0, e_i).  The
+    packed row is a positive multiple of that identity; it is divided by
+    u(0), so the unit returned is 1 at the origin."""
     n = len(g.generators)
+    nvars = len(p.variables)
     zero = Polynomial.zero(p.variables)
 
     def column(i):
         return Polynomial.constant(p.variables, i)
 
-    basis = [(gen, zero) + tuple(column(int(k == i)) for k in range(n))
-             for i, gen in enumerate(g.generators)]
-    row = _mora((p, column(1)) + (zero,) * n, basis, _Budget(steps))
-    return row[1], [-c for c in row[2:]], row[0]
+    reducers = [_reducer(_pack((gen, zero) + tuple(column(int(k == i))
+                                                   for k in range(n))),
+                         _FIELD * nvars)
+                for i, gen in enumerate(g.generators)]
+    row = _mora(_pack((p, column(1)) + (zero,) * n), reducers,
+                _Budget(steps), nvars)
+    rem, unit, *cof = _unpack(row, p.variables, row[1][0])
+    return unit, [-c for c in cof], rem
 
 
 def reexpands(p, g, unit, cof, rem):
@@ -163,6 +228,33 @@ def test_standard_basis_lift_identity():
         for cof, generator in zip(lift, g.generators):
             acc = acc - cof * generator
         assert acc.is_zero()
+
+
+def test_standard_basis_exact_rational_rows():
+    """The basis of the rational completion with each element primitive:
+    signs, leading monomials and fractional lifts are pinned, so a step
+    that scales a row by a negative or non-integer factor shows."""
+    sb = standard_basis(gens("4*x1 - 2*x2^3", "x3^2 - 3*x1",
+                             "-x2*x3 + 5*x1^2"))
+    assert sb.elements == tuple(map(P, [
+        "-x2^3 + 2*x1", "x3^2 - 3*x1", "5*x1^2 - x2*x3",
+        "-3*x2^3 + 2*x3^2", "-5*x1*x2^3 + 2*x2*x3",
+        "5*x1*x2^3*x3 - 3*x2^4"]))
+    assert sb.leading_monomials == ((1, 0, 0), (1, 0, 0), (2, 0, 0),
+                                    (0, 0, 2), (0, 1, 1), (0, 4, 0))
+    assert sb.lifts == tuple(tuple(map(P, lift)) for lift in [
+        ("1/2", "0", "0"), ("0", "1", "0"), ("0", "0", "1"),
+        ("3/2", "2", "0"), ("5/2*x1", "0", "-2"),
+        ("-5/2*x1*x3 + 3/2*x2", "2*x2", "2*x3")])
+    # Mora steps and an S-pair against negative leading coefficients
+    sb = standard_basis(gens("x1*x2^3 - 3*x1^3*x2^3 - 2*x3^2",
+                             "-3*x1*x2*x3 - 3*x1*x2*x3^2"))
+    assert sb.elements == tuple(map(P, [
+        "-3*x1^3*x2^3 + x1*x2^3 - 2*x3^2", "-x1*x2*x3^2 - x1*x2*x3",
+        "3*x1^4*x2^4 - x1^2*x2^4 + 2*x1*x2*x3^4"]))
+    assert sb.leading_monomials == ((0, 0, 2), (1, 1, 1), (2, 4, 0))
+    assert sb.lifts == tuple(tuple(map(P, lift)) for lift in [
+        ("1", "0"), ("0", "1/3"), ("-x1*x2", "-2/3*x3^2 + 2/3*x3")])
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +504,7 @@ def test_oracle_agrees_on_randomized_ideals():
     for _ in range(30):
         ideal = random_corner_ideal(rng)
         nvars = len(ideal.variables)
-        assert _corner([_leading(g)[0] for g in ideal.generators],
+        assert _corner([lead(g)[0] for g in ideal.generators],
                        nvars) is not None
         sb = standard_basis(ideal)
         assert quotient_dim(ideal) == _staircase_count(
@@ -420,6 +512,43 @@ def test_oracle_agrees_on_randomized_ideals():
         for element, lift in zip(sb.elements, sb.lifts):
             acc = element
             for c, generator in zip(lift, ideal.generators):
+                acc = acc - c * generator
+            assert acc.is_zero()
+
+
+def test_seeded_lifts_and_certificates_reexpand():
+    """Rational generators and members with unit factors: every lift of
+    the standard basis re-expands, and every certificate has unit 1 at the
+    origin and re-expands."""
+    rng = random.Random(13)
+    for _ in range(20):
+        ideal = IdealGens(tuple(
+            g.scaled(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+            for g in random_zero_dim_ideal(rng).generators))
+        variables = ideal.variables
+        sb = standard_basis(ideal)
+        for element, lift in zip(sb.elements, sb.lifts):
+            acc = element
+            for c, generator in zip(lift, ideal.generators):
+                acc = acc - c * generator
+            assert acc.is_zero()
+        targets = []
+        for _ in range(3):
+            target = Polynomial.zero(variables)
+            for g in ideal.generators:
+                exps = tuple(rng.randint(0, 2) for _ in variables)
+                target = target + g.mul_term(exps, Fraction(
+                    rng.randint(-3, 3), rng.randint(1, 3)))
+            unit = Polynomial(variables, {(0,) * len(variables): 1,
+                                          (1,) + (0,) * (len(variables) - 1):
+                                          rng.randint(-2, 2)})
+            if not target.is_zero():
+                targets.append(target * unit)
+        certificates = membership_with_cofactors(targets, ideal)
+        for target, (unit, cofactors) in zip(targets, certificates):
+            assert unit.constant_term == 1
+            acc = unit * target
+            for c, generator in zip(cofactors, ideal.generators):
                 acc = acc - c * generator
             assert acc.is_zero()
 
