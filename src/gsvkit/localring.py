@@ -52,11 +52,13 @@ order ranks lower degree higher, so these elements span m^N modulo
 m^(N+1).  Hence m^N lies in I + m * m^N, and Nakayama's lemma gives m^N in
 I, so every term of degree >= N is itself in I.  From then on such terms
 are dropped from every S-polynomial, after every Mora step and from the
-basis rows (a row whose leading monomial has degree >= N is kept whole), and
-N is recomputed whenever an element joins the basis.  This keeps the rows of
-low degree and their coefficients small.  Tracked rows are never truncated:
-their lifts, units and cofactors must re-expand exactly, and a dropped term
-of m^N would break that identity.
+basis rows (a row whose leading monomial has degree >= N is kept whole).
+Whenever an element joins the basis, N is recomputed by the same walk that
+counts the staircase.  N must be this exact corner: a looser N from the
+pure powers x_i^a_i alone, 1 + sum(a_i - 1), is valid too, but the longer
+rows it keeps can make the completion thousands of times slower.  Tracked
+rows are never truncated: their lifts, units and cofactors must re-expand
+exactly, and a dropped term of m^N would break that identity.
 
 An independent Macaulay-matrix oracle, ``quotient_dim_macaulay``, is
 provided for cross-checks.  It keys each monomial as one integer whose
@@ -75,6 +77,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import le
 
 from .errors import (
     InfiniteDimensionError,
@@ -82,12 +85,7 @@ from .errors import (
     IterationLimitError,
     NotMemberError,
 )
-from .poly import (
-    Exponents,
-    Polynomial,
-    monomial_degree,
-    monomial_divides,
-)
+from .poly import Exponents, Polynomial
 
 DEFAULT_STEP_LIMIT = 10 ** 6
 
@@ -311,42 +309,40 @@ def _complete(rows, nvars, truncate=False):
     shift = _FIELD * nvars
     for row in rows:
         _check_degree(max(row[0]) >> shift, "completion")
-    basis = [_primitive(row) for row in rows]
-    reducers = [_reducer(row, shift) for row in basis]
+    reducers = [_reducer(_primitive(row), shift) for row in rows]
     leads = [_exponents(entry[1], nvars) for entry in reducers]
     cut = None
     grew = truncate
-    pairs = deque(itertools.combinations(range(len(basis)), 2))
+    pairs = deque(itertools.combinations(range(len(reducers)), 2))
     while pairs:
         if grew:
             grew = False
-            corner = _corner(leads, nvars)
-            if corner is not None and corner << shift != cut:
-                cut = corner << shift
-                basis = [row if lead >= cut
-                         else [{k: c for k, c in row[0].items() if k < cut}]
-                         for row, (_, lead, _, _) in zip(basis, reducers)]
-                reducers = [_reducer(row, shift) for row in basis]
+            stairs = _staircase(leads, nvars)
+            if stairs is not None and stairs[1] << shift != cut:
+                cut = stairs[1] << shift
+                reducers = [
+                    entry if entry[1] >= cut else _reducer(
+                        [{k: c for k, c in entry[0][0].items() if k < cut}],
+                        shift)
+                    for entry in reducers]
         i, j = pairs.popleft()
-        _, lead_i, lc_i, _ = reducers[i]
-        _, lead_j, lc_j, _ = reducers[j]
+        row_i, lead_i, lc_i, _ = reducers[i]
+        row_j, lead_j, lc_j, _ = reducers[j]
         both = _key(tuple(map(max, leads[i], leads[j])))
         if both == lead_i + lead_j:
             continue  # product criterion
         g = gcd(lc_i, lc_j)
         a = abs(lc_j) // g if lc_i > 0 else -abs(lc_j) // g
         b = abs(lc_i) // g if lc_j > 0 else -abs(lc_i) // g
-        s = _combine(a, basis[i], both - lead_i, b, basis[j], both - lead_j,
-                     cut)
+        s = _combine(a, row_i, both - lead_i, b, row_j, both - lead_j, cut)
         rem = _mora(s, reducers, budget, nvars, cut)
         if not rem[0]:
             continue
-        basis.append(rem)
         reducers.append(_reducer(rem, shift))
         leads.append(_exponents(reducers[-1][1], nvars))
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        pairs.extend((k, len(reducers) - 1) for k in range(len(reducers) - 1))
         grew = truncate
-    return basis, leads
+    return [entry[0] for entry in reducers], leads
 
 
 def standard_basis(gens: IdealGens) -> StandardBasis:
@@ -364,36 +360,25 @@ def standard_basis(gens: IdealGens) -> StandardBasis:
 
 
 def _staircase(leads: list[Exponents], nvars: int):
-    """Monomials outside the monomial ideal generated by ``leads``, or None
-    while some variable has no pure power among them."""
+    """(count, N) for the monomials outside the monomial ideal generated by
+    ``leads``: their number, and N = 1 + their top degree (0 if there are
+    none), the least N with m^N in the ideal.  None while some variable has
+    no pure power among the leads."""
     bounds = []
     for i in range(nvars):
-        pures = [l[i] for l in leads if monomial_degree(l) == l[i]]
+        pures = [l[i] for l in leads if sum(l) == l[i]]
         if not pures:
             return None
         bounds.append(min(pures))
     # the ideal is closed upward, so over each prefix of the other exponents
     # the last exponent runs up to the lowest lead below that prefix
-    stairs = []
+    count = corner = 0
     for prefix in itertools.product(*(range(b) for b in bounds[:-1])):
-        height = min(l[-1] for l in leads if monomial_divides(l[:-1], prefix))
-        stairs.extend(prefix + (k,) for k in range(height))
-    return stairs
-
-
-def _staircase_count(leads: list[Exponents], nvars: int):
-    """Number of monomials outside the monomial ideal, or INFINITE."""
-    stairs = _staircase(leads, nvars)
-    return INFINITE if stairs is None else len(stairs)
-
-
-def _corner(leads: list[Exponents], nvars: int):
-    """The highest-corner degree N: 1 + the top degree of the staircase, so
-    m^N lies in the monomial ideal; None while the staircase is infinite."""
-    stairs = _staircase(leads, nvars)
-    if stairs is None:
-        return None
-    return 1 + max(map(monomial_degree, stairs), default=-1)
+        height = min(l[-1] for l in leads if all(map(le, l, prefix)))
+        count += height
+        if height:
+            corner = max(corner, sum(prefix) + height)
+    return count, corner
 
 
 def quotient_dim(gens: IdealGens):
@@ -405,7 +390,8 @@ def quotient_dim(gens: IdealGens):
     nvars = len(gens.variables)
     _, leads = _complete([_pack((g,)) for g in gens.generators], nvars,
                          truncate=True)
-    return _staircase_count(leads, nvars)
+    stairs = _staircase(leads, nvars)
+    return INFINITE if stairs is None else stairs[0]
 
 
 def membership_with_cofactors(targets, gens: IdealGens):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import (
     PolynomialSyntaxError,
@@ -28,17 +28,8 @@ Exponents = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # monomials (bare exponent tuples)
 
-def monomial_degree(exps: Exponents) -> int:
-    return sum(exps)
-
-
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _print_key(exps: Exponents):
@@ -200,15 +191,6 @@ class Polynomial:
         return Polynomial._raw(self.variables,
                                {e: c * scalar for e, c in self.terms.items()})
 
-    def mul_term(self, exps: Exponents, coeff) -> "Polynomial":
-        """Multiply by the single term coeff * x^exps."""
-        coeff = _coerce_coeff(coeff)
-        if not coeff:
-            return Polynomial._raw(self.variables, {})
-        return Polynomial._raw(
-            self.variables,
-            {monomial_mul(e, exps): c * coeff for e, c in self.terms.items()})
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -251,38 +233,27 @@ class Polynomial:
         return total
 
     def translate(self, point) -> "Polynomial":
-        """p(x + point): the germ of p recentred so that ``point`` maps to 0."""
+        """p(x + point): the germ of p recentred so that ``point`` maps to 0.
+
+        Substitutes x_i -> x_i + a_i one variable at a time, each power as
+        the binomial sum x_i^e -> sum(C(e, k) * a_i^(e-k) * x_i^k).
+        """
         point = [_coerce_coeff(c) for c in point]
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
-        # cache (variable, power) -> (x_i + a_i)^power
-        cache: dict[tuple[int, int], Polynomial] = {}
-        nvars = len(self.variables)
-
-        def shifted_power(i: int, e: int) -> Polynomial:
-            got = cache.get((i, e))
-            if got is None:
-                base = Polynomial.variable(self.variables, i) + \
-                    Polynomial.constant(self.variables, point[i])
-                got = base ** e
-                cache[(i, e)] = got
-            return got
-
-        total = Polynomial.zero(self.variables)
-        for exps, coeff in self.terms.items():
-            part = Polynomial.constant(self.variables, coeff)
-            plain = [0] * nvars
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if point[i] == 0:
-                    plain[i] = e
-                else:
-                    part = part * shifted_power(i, e)
-            if any(plain):
-                part = part.mul_term(tuple(plain), 1)
-            total = total + part
-        return total
+        terms = self.terms
+        for i, a in enumerate(point):
+            if not a:
+                continue
+            moved: dict[Exponents, Fraction] = {}
+            for exps, coeff in terms.items():
+                e = exps[i]
+                for k in range(e + 1):
+                    key = exps[:i] + (k,) + exps[i + 1:]
+                    moved[key] = (moved.get(key, 0)
+                                  + coeff * comb(e, k) * a ** (e - k))
+            terms = {exps: c for exps, c in moved.items() if c}
+        return Polynomial._raw(self.variables, dict(terms))
 
     def specialize_at_one(self, index: int) -> "Polynomial":
         """Set variable ``index`` to 1 and drop it from the variable list."""

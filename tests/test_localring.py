@@ -1,6 +1,7 @@
 """Mora division, standard bases, quotient dimensions and the oracle."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from gsvkit.localring import (
     _DEGREE_LIMIT,
     _FIELD,
     _Budget,
-    _corner,
     _exponents,
     _guard,
     _key,
@@ -28,7 +28,6 @@ from gsvkit.localring import (
     _pack,
     _reducer,
     _staircase,
-    _staircase_count,
     _unpack,
     membership_with_cofactors,
     quotient_dim,
@@ -65,6 +64,20 @@ def lead(p):
     row = _pack((p,))[0]
     key = min(row)
     return _exponents(key, len(p.variables)), row[key]
+
+
+def box_staircase(leads, nvars):
+    """The monomials outside the monomial ideal generated by ``leads``, in
+    lexicographic order, from a scan of a box that holds them all; None
+    while some variable has no pure power among the leads."""
+    box = []
+    for i in range(nvars):
+        pures = [l[i] for l in leads if sum(l) == l[i]]
+        if not pures:
+            return None
+        box.append(range(min(pures)))
+    return [e for e in itertools.product(*box)
+            if not any(all(map(operator.le, l, e)) for l in leads)]
 
 
 def test_local_order_constant_is_largest():
@@ -211,13 +224,15 @@ def test_standard_basis_maximal_ideal():
 def test_standard_basis_worked_example_leading_ideal():
     sb = standard_basis(gens("6*x1", "2*x2", "3*x3", "x1 - x2^3",
                              "x3^2 - x1"))
-    assert _staircase(sb.leading_monomials, 3) == [(0, 0, 0)]
+    assert box_staircase(sb.leading_monomials, 3) == [(0, 0, 0)]
+    assert _staircase(sb.leading_monomials, 3) == (1, 1)
 
 
 def test_standard_basis_local_leading_term():
     # x1 - x2^3 leads with x1 locally, so x1 joins the staircase walls
     sb = standard_basis(gens("x2^2", "x3", "x1 - x2^3"))
-    assert _staircase(sb.leading_monomials, 3) == [(0, 0, 0), (0, 1, 0)]
+    assert box_staircase(sb.leading_monomials, 3) == [(0, 0, 0), (0, 1, 0)]
+    assert _staircase(sb.leading_monomials, 3) == (2, 2)
 
 
 def test_standard_basis_lift_identity():
@@ -333,6 +348,33 @@ def test_quotient_dim_invertible_linear_parts():
                     p = p + Polynomial(variables, {e: rng.randint(-2, 2)})
             generators.append(p)
         assert quotient_dim(IdealGens(tuple(generators))) == 1
+
+
+def test_staircase_count_and_corner_match_a_box_scan():
+    """The count and N = 1 + the top degree from one walk equal a brute-force
+    box scan on seeded monomial ideals; N is the exact corner, not a looser
+    bound such as 1 + sum(a_i - 1) from the pure powers alone."""
+    assert _staircase([(0, 0, 0)], 3) == (0, 0)
+    assert _staircase([(0, 0)], 2) == (0, 0)
+    assert _staircase([(2, 0), (1, 1)], 2) is None
+    assert _staircase([(2, 0), (1, 1), (0, 3)], 2) == (4, 3)
+    rng = random.Random(20261019)
+    for _ in range(20000):
+        nvars = rng.randint(1, 4)
+        leads = []
+        for i in range(nvars):
+            if rng.random() < 0.95:
+                leads.append(tuple(rng.randint(1, 4) if k == i else 0
+                                   for k in range(nvars)))
+        for _ in range(rng.randint(0, 4)):
+            leads.append(tuple(rng.randint(0, 3) for _ in range(nvars)))
+        if not leads:
+            leads.append((0,) * nvars)
+        rng.shuffle(leads)
+        stairs = box_staircase(leads, nvars)
+        expected = None if stairs is None else (
+            len(stairs), 1 + max(map(sum, stairs), default=-1))
+        assert _staircase(leads, nvars) == expected, leads
 
 
 def test_quotient_dim_builds_no_lifts(monkeypatch):
@@ -497,18 +539,18 @@ def test_oracle_agrees_on_randomized_ideals():
         assert quotient_dim_macaulay(ideal) == staircase
         # tracked rows (standard_basis) and bare rows (quotient_dim) reach
         # the same leading ideal
-        assert _staircase_count(standard_basis(ideal).leading_monomials,
-                                len(ideal.variables)) == staircase
+        assert _staircase(standard_basis(ideal).leading_monomials,
+                          len(ideal.variables))[0] == staircase
     # the corner truncation of the bare rows engages from the first pair
     # and changes no dimension; the tracked rows stay exact
     for _ in range(30):
         ideal = random_corner_ideal(rng)
         nvars = len(ideal.variables)
-        assert _corner([lead(g)[0] for g in ideal.generators],
-                       nvars) is not None
+        assert _staircase([lead(g)[0] for g in ideal.generators],
+                          nvars) is not None
         sb = standard_basis(ideal)
-        assert quotient_dim(ideal) == _staircase_count(
-            sb.leading_monomials, nvars)
+        assert quotient_dim(ideal) == _staircase(
+            sb.leading_monomials, nvars)[0]
         for element, lift in zip(sb.elements, sb.lifts):
             acc = element
             for c, generator in zip(lift, ideal.generators):
@@ -537,8 +579,8 @@ def test_seeded_lifts_and_certificates_reexpand():
             target = Polynomial.zero(variables)
             for g in ideal.generators:
                 exps = tuple(rng.randint(0, 2) for _ in variables)
-                target = target + g.mul_term(exps, Fraction(
-                    rng.randint(-3, 3), rng.randint(1, 3)))
+                target = target + g * Polynomial(variables, {exps: Fraction(
+                    rng.randint(-3, 3), rng.randint(1, 3))})
             unit = Polynomial(variables, {(0,) * len(variables): 1,
                                           (1,) + (0,) * (len(variables) - 1):
                                           rng.randint(-2, 2)})

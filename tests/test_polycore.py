@@ -229,7 +229,27 @@ def test_mixed_partials_commute(p):
         == p.partial_derivative(1).partial_derivative(0)
 
 
+def shifted_reference(p, point):
+    """sum(c * prod((x_i + a_i)^e_i)) over the terms of p, built with the
+    ring operations."""
+    total = Polynomial.zero(p.variables)
+    for exps, c in p.terms.items():
+        term = Polynomial.constant(p.variables, c)
+        for i, (a, e) in enumerate(zip(point, exps)):
+            term = term * (Polynomial.variable(p.variables, i)
+                           + Polynomial.constant(p.variables, a)) ** e
+        total = total + term
+    return total
+
+
 @given(polynomials(), st.tuples(coeffs, coeffs))
 @settings(max_examples=100, deadline=None)
 def test_translate_matches_evaluation(p, point):
-    assert p.translate(point).evaluate([0, 0]) == p.evaluate(point)
+    moved = p.translate(point)
+    assert moved.evaluate([0, 0]) == p.evaluate(point)
+    assert moved == shifted_reference(p, point)
+    # three variables with one coordinate zero: that variable stays put
+    q = Polynomial(X3, {exps + (k,): c for k, (exps, c)
+                        in enumerate(p.terms.items())})
+    point3 = (point[0], 0, Fraction(point[1], 2))
+    assert q.translate(point3) == shifted_reference(q, point3)
