@@ -20,16 +20,13 @@ from .indices import (
     gsv_bounds_nondegenerate,
     gsv_from_rho,
     invariance_certificate,
-    is_quasihomogeneous,
     local_gsv_curve,
     local_indices,
     milnor_curve,
-    schwartz_curve,
     published_bound_table,
     nondegenerate_bound_constants,
 )
 from .localring import (
-    INFINITE,
     IdealGens,
     StandardBasis,
     membership_with_cofactors,

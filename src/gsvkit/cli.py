@@ -41,6 +41,7 @@ from .errors import (
 from .indices import (
     _bounds_with,
     _gsv_at_rho_with,
+    _ideal_name,
     germ_ideals,
     greuel_tjurina,
     milnor_curve,
@@ -406,11 +407,9 @@ def _oracle_info(cases, redo, anomalies) -> dict:
             try:
                 dims[label] = quotient_dim_macaulay(gens)
             except InfiniteDimensionError:
-                name = f"chain step {label}" if isinstance(label, int) \
-                    else label
                 anomalies.append(
                     f"oracle undecided at {where}: the Macaulay corank of "
-                    f"{name} did not stabilize by degree "
+                    f"{_ideal_name(label)} did not stabilize by degree "
                     f"{MACAULAY_MAX_DEGREE}; staircase {staircase}")
         checked += len(dims)
         if len(dims) < len(ideals):

@@ -10,9 +10,9 @@ invariant under a vector field v are:
   schwartz gsv + mu
 
 All of them come from colengths of the labelled ideals of ``germ_ideals``,
-the one catalogue that ``ideal_dimensions`` maps a dimension function
-over: the staircase ``quotient_dim`` here, ``quotient_dim_macaulay`` for
-the CLI's --oracle, so both see the same ideals with the same generators.
+the one catalogue of them: ``ideal_dimensions`` takes the staircase
+``quotient_dim`` of each, and the CLI's --oracle takes
+``quotient_dim_macaulay`` of the same ideals with the same generators.
 
   "tau"     <f, maximal minors of Jac(f)>
   "dim_v"   <v>
@@ -27,17 +27,18 @@ index, and the parity-split closed form in the auxiliary integer rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import (
     InfiniteDimensionError,
     InternalCheckError,
+    IterationLimitError,
     NotInvariantError,
     NotMemberError,
 )
 from .localring import (
-    INFINITE,
     IdealGens,
     membership_with_cofactors,
     quotient_dim,
@@ -79,6 +80,11 @@ class CurveGerm:
     @property
     def r(self) -> int:
         return len(self.equations)
+
+    @cached_property
+    def minors(self) -> tuple[Polynomial, ...]:
+        """The maximal Jacobian minors, shared by tau and chain step r."""
+        return tuple(jacobian_minors(self.equations))
 
 
 @dataclass(frozen=True)
@@ -153,22 +159,28 @@ def germ_ideals(germ: CurveGerm, field: VectorFieldGerm | None = None, *,
     """Labelled ideals of the germ (module docstring), in computing order:
     "tau" unless ``tau`` is false, "dim_v" and "dim_vf" with a field, and
     the chain steps 1..r if ``chain``."""
-    eqs = list(germ.equations)
+    eqs = germ.equations
     ideals = {}
     if tau:
-        ideals["tau"] = IdealGens(eqs + jacobian_minors(eqs))
+        ideals["tau"] = IdealGens(eqs + germ.minors)
     if field is not None:
         if all(a.is_zero() for a in field.components):
             raise InfiniteDimensionError("the vector field is identically zero")
         ideals["dim_v"] = IdealGens(field.components)
-        ideals["dim_vf"] = IdealGens(field.components + germ.equations)
+        ideals["dim_vf"] = IdealGens(field.components + eqs)
     if chain:
         for k in range(1, germ.r + 1):
-            ideals[k] = IdealGens(eqs[:k - 1] + jacobian_minors(eqs[:k]))
+            minors = germ.minors if k == germ.r else jacobian_minors(eqs[:k])
+            ideals[k] = IdealGens((*eqs[:k - 1], *minors))
     return ideals
 
 
-_NOT_ZERO_DIMENSIONAL = {
+def _ideal_name(label) -> str:
+    """How errors and anomalies name a labelled ideal of ``germ_ideals``."""
+    return f"chain step {label}" if isinstance(label, int) else label
+
+
+_NOT_FINITE = {
     "tau": "the singularity is not isolated: <f, minors> is not "
            "zero-dimensional",
     "dim_v": "the vector field does not have an isolated zero: <v> is not "
@@ -177,21 +189,23 @@ _NOT_ZERO_DIMENSIONAL = {
 }
 
 
-def ideal_dimensions(ideals: dict, dim) -> dict:
-    """Map ``dim`` (quotient_dim or quotient_dim_macaulay) over labelled
-    ideals.  An infinite dimension raises InfiniteDimensionError naming
-    the ideal, with ``step=k`` for chain step k."""
+def ideal_dimensions(ideals: dict) -> dict:
+    """``quotient_dim`` of each labelled ideal.  An infinite dimension
+    raises InfiniteDimensionError naming the ideal, with ``step=k`` for
+    chain step k; a spent budget raises IterationLimitError naming it."""
     dims = {}
     for label, gens in ideals.items():
-        value = dim(gens)
-        if value is INFINITE:
-            if isinstance(label, int):
-                raise InfiniteDimensionError(
-                    f"Le-Greuel chain step {label} is not zero-dimensional: "
-                    f"(f_1..f_{label}) is not an ICIS in this generator "
-                    "order", step=label)
-            raise InfiniteDimensionError(_NOT_ZERO_DIMENSIONAL[label])
-        dims[label] = value
+        try:
+            dims[label] = quotient_dim(gens)
+        except InfiniteDimensionError:
+            if not isinstance(label, int):
+                raise InfiniteDimensionError(_NOT_FINITE[label]) from None
+            raise InfiniteDimensionError(
+                f"Le-Greuel chain step {label} is not zero-dimensional: "
+                f"(f_1..f_{label}) is not an ICIS in this generator order",
+                step=label) from None
+        except IterationLimitError as exc:
+            raise IterationLimitError(f"{_ideal_name(label)}: {exc}") from None
     return dims
 
 
@@ -204,69 +218,9 @@ def milnor_from_chain(dims: dict) -> int:
     return mu
 
 
-def _chain_milnor(germ: CurveGerm) -> int:
-    if germ.r != germ.m - 1:
-        raise ValueError("the Milnor chain here is for curve germs (r = m-1)")
-    return milnor_from_chain(ideal_dimensions(
-        germ_ideals(germ, tau=False, chain=True), quotient_dim))
-
-
 def greuel_tjurina(germ: CurveGerm) -> int:
     """dim O/<f, all maximal minors of the Jacobian of f>."""
-    return ideal_dimensions(germ_ideals(germ), quotient_dim)["tau"]
-
-
-@dataclass
-class LocalIndexReport:
-    """Per-point record of the local invariants and their building blocks.
-
-    ``milnor`` and ``schwartz`` stay None until the Milnor-number chain has
-    been run (it is sensitive to the equation order, unlike the others).
-    """
-
-    tau: int
-    dim_vf: int
-    dim_v: int
-    gsv: int
-    milnor: int | None = None
-    schwartz: int | None = None
-    quasihomogeneous: bool | None = None
-    anomalies: list[str] = field(default_factory=list)
-
-    def check(self):
-        if self.gsv != -self.tau + self.dim_vf:
-            raise InternalCheckError("gsv != -tau + dim O/<v,f>")
-        if self.milnor is not None:
-            if self.milnor < self.tau:
-                raise InternalCheckError("milnor < tau")
-            if self.schwartz != self.gsv + self.milnor:
-                raise InternalCheckError("schwartz != gsv + milnor")
-
-
-def local_gsv_curve(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
-    """GSV index of the field along the curve germ at the origin.
-
-    Requires r = m-1 and an invariant germ; the index is
-    -tau + dim O/<v, f> and both intermediate dimensions are reported.
-    """
-    if germ.r != germ.m - 1:
-        raise ValueError("local GSV along a curve needs r = m-1 equations")
-    invariance_certificate(germ, v)
-    tau = greuel_tjurina(germ)
-    dims = ideal_dimensions(germ_ideals(germ, v, tau=False), quotient_dim)
-    report = LocalIndexReport(tau=tau, dim_vf=dims["dim_vf"],
-                              dim_v=dims["dim_v"], gsv=-tau + dims["dim_vf"])
-    report.check()
-    return report
-
-
-def _milnor_and_tau(germ: CurveGerm) -> tuple[int, int]:
-    mu = _chain_milnor(germ)
-    tau = greuel_tjurina(germ)
-    if mu < tau:
-        raise InternalCheckError(
-            f"computed Milnor number {mu} below Tjurina number {tau}")
-    return mu, tau
+    return ideal_dimensions(germ_ideals(germ))["tau"]
 
 
 def milnor_curve(germ: CurveGerm) -> int:
@@ -278,18 +232,79 @@ def milnor_curve(germ: CurveGerm) -> int:
     caller can permute the generators; the chain is never permuted
     silently.
     """
-    return _milnor_and_tau(germ)[0]
+    if germ.r != germ.m - 1:
+        raise ValueError("the Milnor chain here is for curve germs (r = m-1)")
+    mu = milnor_from_chain(ideal_dimensions(
+        germ_ideals(germ, tau=False, chain=True)))
+    tau = greuel_tjurina(germ)
+    if mu < tau:
+        raise InternalCheckError(
+            f"computed Milnor number {mu} below Tjurina number {tau}")
+    return mu
 
 
-def is_quasihomogeneous(germ: CurveGerm) -> bool:
-    """mu == tau test for the germ (curve case)."""
-    mu, tau = _milnor_and_tau(germ)
-    return mu == tau
+@dataclass(frozen=True)
+class LocalIndexReport:
+    """Per-point record of the local invariants and their building blocks,
+    checked when it is built.  ``milnor``, ``schwartz`` and
+    ``quasihomogeneous`` are None unless the Milnor chain was run (it is
+    sensitive to the equation order, unlike the others)."""
+
+    tau: int
+    dim_vf: int
+    dim_v: int
+    gsv: int
+    milnor: int | None = None
+    schwartz: int | None = None
+    quasihomogeneous: bool | None = None
+    anomalies: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.gsv != -self.tau + self.dim_vf:
+            raise InternalCheckError("gsv != -tau + dim O/<v,f>")
+        if self.milnor is not None:
+            if self.milnor < self.tau:
+                raise InternalCheckError("milnor < tau")
+            if self.schwartz != self.gsv + self.milnor:
+                raise InternalCheckError("schwartz != gsv + milnor")
 
 
-def schwartz_curve(germ: CurveGerm, v: VectorFieldGerm) -> int:
-    """Schwartz index: gsv + mu.  Positive on every invariant curve germ."""
-    return local_indices(germ, v).schwartz
+def _local_report(germ: CurveGerm, v: VectorFieldGerm,
+                  chain: bool) -> LocalIndexReport:
+    """Tangency, tau, dim_v, dim_vf and, with ``chain``, chain steps 1..r."""
+    if germ.r != germ.m - 1:
+        raise ValueError("local GSV along a curve needs r = m-1 equations")
+    invariance_certificate(germ, v)
+    tau = greuel_tjurina(germ)
+    dims = ideal_dimensions(germ_ideals(germ, v, tau=False, chain=chain))
+    dim_v, dim_vf = dims.pop("dim_v"), dims.pop("dim_vf")
+    gsv = -tau + dim_vf
+    if not chain:
+        return LocalIndexReport(tau=tau, dim_vf=dim_vf, dim_v=dim_v, gsv=gsv)
+    mu = milnor_from_chain(dims)
+    schwartz = gsv + mu
+    anomalies = []
+    if schwartz <= 0:
+        anomalies.append(
+            f"Schwartz index {schwartz} is not positive; this "
+            "contradicts the positivity theorem for invariant curve germs")
+    if mu != tau and schwartz < 2:
+        anomalies.append(
+            f"Schwartz index {schwartz} < 2 at a germ that is not "
+            "quasi-homogeneous")
+    return LocalIndexReport(tau=tau, dim_vf=dim_vf, dim_v=dim_v, gsv=gsv,
+                            milnor=mu, schwartz=schwartz,
+                            quasihomogeneous=mu == tau,
+                            anomalies=tuple(anomalies))
+
+
+def local_gsv_curve(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
+    """GSV index of the field along the curve germ at the origin.
+
+    Requires r = m-1 and an invariant germ; the index is
+    -tau + dim O/<v, f> and both intermediate dimensions are reported.
+    """
+    return _local_report(germ, v, chain=False)
 
 
 def local_indices(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
@@ -298,21 +313,7 @@ def local_indices(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
     A non-positive Schwartz index is flagged as an anomaly in the report
     rather than raised: it would falsify the run's assumptions.
     """
-    report = local_gsv_curve(germ, v)
-    mu = _chain_milnor(germ)
-    report.milnor = mu
-    report.schwartz = report.gsv + mu
-    report.quasihomogeneous = (mu == report.tau)
-    if report.schwartz <= 0:
-        report.anomalies.append(
-            f"Schwartz index {report.schwartz} is not positive; this "
-            "contradicts the positivity theorem for invariant curve germs")
-    if not report.quasihomogeneous and report.schwartz < 2:
-        report.anomalies.append(
-            f"Schwartz index {report.schwartz} < 2 at a germ that is not "
-            "quasi-homogeneous")
-    report.check()
-    return report
+    return _local_report(germ, v, chain=True)
 
 
 # ---------------------------------------------------------------------------

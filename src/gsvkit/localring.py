@@ -90,26 +90,6 @@ from .poly import Exponents, Polynomial
 DEFAULT_STEP_LIMIT = 10 ** 6
 
 
-class _Infinite:
-    """Distinguished value for an infinite-dimensional quotient."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __bool__(self):
-        return True
-
-
-INFINITE = _Infinite()
-
-
 @dataclass(frozen=True)
 class IdealGens:
     """Generators of an ideal of the local ring.
@@ -381,17 +361,20 @@ def _staircase(leads: list[Exponents], nvars: int):
     return count, corner
 
 
-def quotient_dim(gens: IdealGens):
-    """Vector-space dimension of O_{m,0} / <gens>, or INFINITE.
+def quotient_dim(gens: IdealGens) -> int:
+    """Vector-space dimension of O_{m,0} / <gens>.
 
     Finite exactly when the leading ideal contains a pure power of every
     variable; the value is then the number of staircase monomials.
+    Otherwise raises InfiniteDimensionError.
     """
     nvars = len(gens.variables)
     _, leads = _complete([_pack((g,)) for g in gens.generators], nvars,
                          truncate=True)
     stairs = _staircase(leads, nvars)
-    return INFINITE if stairs is None else stairs[0]
+    if stairs is None:
+        raise InfiniteDimensionError("the quotient is not finite-dimensional")
+    return stairs[0]
 
 
 def membership_with_cofactors(targets, gens: IdealGens):

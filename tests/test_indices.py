@@ -2,17 +2,21 @@
 
 import random
 import time
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
 
 from gsvkit.errors import (
     InfiniteDimensionError,
+    InternalCheckError,
+    IterationLimitError,
     NotInvariantError,
 )
 from gsvkit import indices, localring
 from gsvkit.indices import (
     CurveGerm,
+    LocalIndexReport,
     VectorFieldGerm,
     directional_derivative,
     germ_ideals,
@@ -21,12 +25,10 @@ from gsvkit.indices import (
     gsv_from_rho,
     ideal_dimensions,
     invariance_certificate,
-    is_quasihomogeneous,
     local_gsv_curve,
     local_indices,
     milnor_curve,
     milnor_from_chain,
-    schwartz_curve,
     published_bound_table,
     nondegenerate_bound_constants,
 )
@@ -185,8 +187,9 @@ def test_germ_ideals_labels_in_order():
 def test_staircase_and_macaulay_agree_on_catalogue():
     g, v = germ(*CUSP_GERM), field(*CUSP_FIELD)
     ideals = germ_ideals(g, v, chain=True)
-    staircase = ideal_dimensions(ideals, quotient_dim)
-    assert staircase == ideal_dimensions(ideals, quotient_dim_macaulay)
+    staircase = ideal_dimensions(ideals)
+    assert staircase == {label: quotient_dim_macaulay(gens)
+                         for label, gens in ideals.items()}
     assert staircase["tau"] == greuel_tjurina(g) == 2
     assert milnor_from_chain(
         {k: d for k, d in staircase.items() if isinstance(k, int)}) == 2
@@ -195,9 +198,32 @@ def test_staircase_and_macaulay_agree_on_catalogue():
 def test_ideal_dimensions_names_chain_step():
     g = germ("y1^2 - y2^3", "y3^2 - y1", variables=Y3)
     with pytest.raises(InfiniteDimensionError) as exc:
-        ideal_dimensions(germ_ideals(g, tau=False, chain=True), quotient_dim)
+        ideal_dimensions(germ_ideals(g, tau=False, chain=True))
     assert exc.value.step == 1
     assert "chain step 1" in str(exc.value)
+
+
+def test_ideal_dimensions_names_tau_and_dim_v():
+    with pytest.raises(InfiniteDimensionError) as exc:
+        greuel_tjurina(CurveGerm((parse_polynomial("y^2", XY),)))
+    assert exc.value.step is None
+    assert str(exc.value) == ("the singularity is not isolated: <f, minors> "
+                              "is not zero-dimensional")
+    line = CurveGerm((parse_polynomial("y", XY),))
+    v = VectorFieldGerm((parse_polynomial("y", XY),
+                         parse_polynomial("x*y", XY)))
+    with pytest.raises(InfiniteDimensionError) as exc:
+        local_gsv_curve(line, v)
+    assert str(exc.value) == ("the vector field does not have an isolated "
+                              "zero: <v> is not zero-dimensional")
+
+
+def test_ideal_dimensions_names_ideal_on_spent_budget(monkeypatch):
+    # the Tjurina ideal of x^4 + y^5 + x^2*y^3 needs a Mora reduction
+    monkeypatch.setattr(localring, "DEFAULT_STEP_LIMIT", 0)
+    f = parse_polynomial("x^4 + y^5 + x^2*y^3", XY)
+    with pytest.raises(IterationLimitError, match=r"^tau: .*budget"):
+        greuel_tjurina(CurveGerm((f,)))
 
 
 def test_zero_field_named():
@@ -225,11 +251,44 @@ def test_local_indices_computes_tau_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_is_quasihomogeneous_computes_tau_once(monkeypatch):
+def test_milnor_curve_computes_tau_once(monkeypatch):
     calls = _count_tjurina(monkeypatch)
     f = parse_polynomial("x^4 + y^5 + x^2*y^3", XY)
-    assert not is_quasihomogeneous(CurveGerm((f,)))
+    assert milnor_curve(CurveGerm((f,))) == 12
     assert len(calls) == 1
+
+
+def test_local_indices_shares_the_maximal_minors(monkeypatch):
+    # tau and chain step r take the maximal minors from the germ; only
+    # chain step 1 computes its own
+    calls = []
+    original = indices.jacobian_minors
+
+    def counting(polys):
+        calls.append(polys)
+        return original(polys)
+
+    monkeypatch.setattr(indices, "jacobian_minors", counting)
+    g = germ(*CUSP_GERM)
+    report = local_indices(g, field(*CUSP_FIELD))
+    assert (report.tau, report.milnor) == (2, 2)
+    assert len(calls) == 2
+    germ_ideals(g, tau=True, chain=True)
+    assert len(calls) == 3
+
+
+def test_report_is_checked_when_built_and_frozen():
+    with pytest.raises(InternalCheckError, match="gsv"):
+        LocalIndexReport(tau=2, dim_vf=1, dim_v=1, gsv=0)
+    with pytest.raises(InternalCheckError, match="schwartz"):
+        LocalIndexReport(tau=2, dim_vf=1, dim_v=1, gsv=-1, milnor=2,
+                         schwartz=2, quasihomogeneous=True)
+    with pytest.raises(InternalCheckError, match="milnor < tau"):
+        LocalIndexReport(tau=2, dim_vf=1, dim_v=1, gsv=-1, milnor=1,
+                         schwartz=0, quasihomogeneous=False)
+    report = LocalIndexReport(tau=2, dim_vf=1, dim_v=1, gsv=-1)
+    with pytest.raises(FrozenInstanceError):
+        report.gsv = 0
 
 
 def test_local_gsv_builds_one_tracked_basis(monkeypatch):
@@ -252,20 +311,26 @@ def test_local_gsv_builds_one_tracked_basis(monkeypatch):
 # ---------------------------------------------------------------------------
 # Schwartz index and quasi-homogeneity
 
+WORKED_EXAMPLE_POINTS = [
+    (germ(*CUSP_GERM), field(*CUSP_FIELD)),
+    (germ(*CHART1_GERM_CHAIN_ORDER, variables=Y3),
+     field(*CHART1_FIELD, variables=Y3)),
+]
+SMOOTH_RADIAL = (germ("x2", "x3"), field("x1", "x2", "x3"))
+
+
 def test_schwartz_worked_example_points():
-    assert schwartz_curve(germ(*CUSP_GERM), field(*CUSP_FIELD)) == 1
-    assert schwartz_curve(germ(*CHART1_GERM_CHAIN_ORDER, variables=Y3),
-                          field(*CHART1_FIELD, variables=Y3)) == 1
+    for g, v in WORKED_EXAMPLE_POINTS:
+        assert local_indices(g, v).schwartz == 1
 
 
 def test_schwartz_smooth_radial():
-    assert schwartz_curve(germ("x2", "x3"), field("x1", "x2", "x3")) == 1
+    assert local_indices(*SMOOTH_RADIAL).schwartz == 1
 
 
 def test_quasihomogeneous_worked_example():
-    assert is_quasihomogeneous(germ(*CUSP_GERM))
-    assert is_quasihomogeneous(germ(*CHART1_GERM_CHAIN_ORDER, variables=Y3))
-    assert is_quasihomogeneous(germ("x2", "x3"))
+    for g, v in WORKED_EXAMPLE_POINTS + [SMOOTH_RADIAL]:
+        assert local_indices(g, v).quasihomogeneous
 
 
 def test_non_quasihomogeneous_plane_germ():
@@ -275,7 +340,6 @@ def test_non_quasihomogeneous_plane_germ():
     plane_germ = CurveGerm((f,))
     assert milnor_curve(plane_germ) == 12
     assert greuel_tjurina(plane_germ) == 11
-    assert not is_quasihomogeneous(plane_germ)
     hamiltonian = VectorFieldGerm((-f.partial_derivative(1),
                                    f.partial_derivative(0)))
     report = local_indices(plane_germ, hamiltonian)
