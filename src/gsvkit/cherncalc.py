@@ -3,8 +3,16 @@
 The ring has named generators with positive integer degrees and discards
 every monomial above the truncation degree.  Coefficients are integers
 only; handing in a rational is treated as a modeling error and rejected.
-Each monomial is keyed once, as (degree, sorted generator names), by
-``GradedRing.key``; arithmetic then reads degrees off the keys.
+Each monomial is one integer key, built once by ``GradedRing.key``: the
+degree in the top field, above one W-bit exponent field per generator in
+sorted-name order (Monagan-Pearce, *Sparse polynomial division using a
+heap*; Bachmann-Schoenemann, *Monomial representations for Groebner bases
+computations*).  W = (2T).bit_length() + 1 for the truncation T.  A kept
+monomial has degree at most T, so each exponent is at most T, and the
+exponents of a product of two kept monomials are at most 2T < 2^W: no
+field carries into the next, and the product's key is the sum of the
+keys.  The degree sits above every exponent field, so a key is kept
+exactly when it is below (T + 1) << (W * number of generators).
 
 The classes d_0..d_T of the virtual difference of two bundles (T the
 truncation degree) are computed three independent ways, each returning the
@@ -22,13 +30,12 @@ import itertools
 from dataclasses import dataclass
 from math import comb, prod
 
-Key = tuple[int, tuple[str, ...]]
-
 
 class GradedRing:
     """Commutative graded ring Z[generators] truncated above a total degree."""
 
-    __slots__ = ("degrees", "truncation")
+    __slots__ = ("degrees", "truncation", "names", "width", "shift",
+                 "_gen_keys", "_limit")
 
     def __init__(self, degrees, truncation):
         degrees = dict(degrees)
@@ -40,20 +47,42 @@ class GradedRing:
             raise ValueError("truncation must be a non-negative integer")
         self.degrees = degrees
         self.truncation = truncation
+        self.names = tuple(sorted(degrees))
+        self.width = (2 * truncation).bit_length() + 1
+        self.shift = self.width * len(self.names)
+        self._gen_keys = {name: degrees[name] << self.shift
+                          | 1 << self.width * i
+                          for i, name in enumerate(self.names)}
+        self._limit = (truncation + 1) << self.shift
 
-    def key(self, names) -> Key:
-        """(degree, sorted names): the term key of a monomial."""
+    def key(self, names) -> int | None:
+        """The integer key ``degree << shift | sum(e_i << (width * i))`` of
+        the monomial with these generator names (e_i the exponent of the
+        i-th name in sorted order), or None above the truncation T.  Below
+        it every e_i <= T, and width = (2T).bit_length() + 1 holds the 2T
+        of a product, so keys multiply by adding.  Above it an exponent
+        may carry into the next field, which only raises the key further."""
         try:
-            degree = sum(self.degrees[name] for name in names)
+            key = sum(self._gen_keys[name] for name in names)
         except KeyError as exc:
             raise KeyError(f"no generator named {exc.args[0]!r}") from None
-        return degree, tuple(sorted(names))
+        return key if key < self._limit else None
+
+    def _names_of(self, key: int) -> tuple[str, ...]:
+        """The sorted generator names of a key, lowest nonzero field first."""
+        names, key = [], key & ((1 << self.shift) - 1)
+        while key:
+            low = ((key & -key).bit_length() - 1) // self.width * self.width
+            exponent = key >> low & ((1 << self.width) - 1)
+            names += [self.names[low // self.width]] * exponent
+            key -= exponent << low
+        return tuple(names)
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
+        return GradedElement._of(self, {})
 
     def one(self) -> "GradedElement":
-        return GradedElement(self, {(): 1})
+        return GradedElement._of(self, {0: 1})
 
     def gen(self, name: str) -> "GradedElement":
         return GradedElement(self, {(name,): 1})
@@ -68,13 +97,15 @@ class GradedRing:
         return f"GradedRing({gens}; trunc={self.truncation})"
 
 
-def _accumulate(terms: dict[Key, int], key: Key, coeff: int):
-    """Add ``coeff`` to the term at ``key``, dropping it if it cancels."""
-    acc = terms.get(key, 0) + coeff
-    if acc:
-        terms[key] = acc
-    else:
-        terms.pop(key, None)
+def _combination(ring: GradedRing, pairs) -> "GradedElement":
+    """sum(weight * element) over the (weight, element) pairs, added up in
+    one dict."""
+    terms: dict[int, int] = {}
+    get = terms.get
+    for weight, element in pairs:
+        for key, coeff in element.terms.items():
+            terms[key] = get(key, 0) + weight * coeff
+    return GradedElement._of(ring, {k: c for k, c in terms.items() if c})
 
 
 class GradedElement:
@@ -84,20 +115,20 @@ class GradedElement:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms):
-        clean: dict[Key, int] = {}
+        clean: dict[int, int] = {}
         for names, coeff in terms.items():
             if not isinstance(coeff, int):
                 raise TypeError(
                     f"coefficients must be integers, got {type(coeff).__name__}"
                     " (rationals are rejected to catch modeling errors)")
             key = ring.key(names)
-            if key[0] <= ring.truncation:
-                _accumulate(clean, key, coeff)
+            if key is not None:
+                clean[key] = clean.get(key, 0) + coeff
         self.ring = ring
-        self.terms = clean
+        self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
-    def _of(cls, ring: GradedRing, terms: dict[Key, int]) -> "GradedElement":
+    def _of(cls, ring: GradedRing, terms: dict[int, int]) -> "GradedElement":
         """Wrap already-clean keyed terms without checking them again."""
         out = cls.__new__(cls)
         out.ring, out.terms = ring, terms
@@ -106,7 +137,7 @@ class GradedElement:
     def _coerce(self, other):
         """``other`` as an element of this ring, or None for a foreign type."""
         if isinstance(other, int):
-            return GradedElement(self.ring, {(): other})
+            return GradedElement._of(self.ring, {0: other} if other else {})
         if not isinstance(other, GradedElement):
             return None
         if other.ring is not self.ring and other.ring != self.ring:
@@ -117,23 +148,21 @@ class GradedElement:
         return not self.terms
 
     def coefficient(self, mono) -> int:
-        return self.terms.get(self.ring.key(mono), 0)
+        return self.terms.get(self.ring.key(mono), 0)  # None is no key
 
     def homogeneous_part(self, t: int) -> "GradedElement":
+        shift = self.ring.shift
         return GradedElement._of(self.ring, {
-            key: c for key, c in self.terms.items() if key[0] == t})
+            key: c for key, c in self.terms.items() if key >> shift == t})
 
     def is_homogeneous_of_degree(self, t: int) -> bool:
-        return all(key[0] == t for key in self.terms)
+        return all(key >> self.ring.shift == t for key in self.terms)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(terms, key, coeff)
-        return GradedElement._of(self.ring, terms)
+        return _combination(self.ring, ((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -153,13 +182,19 @@ class GradedElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        truncation = self.ring.truncation
-        terms: dict[Key, int] = {}
-        for (d1, n1), c1 in self.terms.items():
-            for (d2, n2), c2 in other.terms.items():
-                if d1 + d2 <= truncation:
-                    _accumulate(terms, (d1 + d2, tuple(sorted(n1 + n2))),
-                                c1 * c2)
+        limit = self.ring._limit
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                if key < limit:
+                    coeff = get(key, 0) + c1 * c2
+                    if coeff:
+                        terms[key] = coeff
+                    else:
+                        del terms[key]  # c1 * c2 != 0, so the key was there
         return GradedElement._of(self.ring, terms)
 
     __rmul__ = __mul__
@@ -182,8 +217,11 @@ class GradedElement:
     def __repr__(self):
         if not self.terms:
             return "0"
+        ring = self.ring
         bits = [f"{c}*{'*'.join(names)}" if names else str(c)
-                for (_, names), c in sorted(self.terms.items())]
+                for _, names, c in sorted(
+                    (key >> ring.shift, ring._names_of(key), c)
+                    for key, c in self.terms.items())]
         return " + ".join(bits).replace("+ -", "- ")
 
 
@@ -217,7 +255,8 @@ class ChernVector:
         return self.ring.zero()
 
     def total_class(self) -> GradedElement:
-        return sum(self.classes, self.ring.one())
+        return _combination(self.ring, ((1, c) for c in
+                                        (self.ring.one(), *self.classes)))
 
 
 def _signed_partitions(j: int, largest: int | None = None):
@@ -246,11 +285,10 @@ def inverse_total_class(c: ChernVector) -> GradedElement:
     ring = c.ring
     parts = [ring.one()]
     for k in range(1, ring.truncation + 1):
-        acc = ring.zero()
-        for i in range(1, min(k, c.rank) + 1):
-            acc = acc + c.class_at(i) * parts[k - i]
-        parts.append(-acc)
-    return sum(parts, ring.zero())
+        parts.append(_combination(ring, (
+            (-1, c.class_at(i) * parts[k - i])
+            for i in range(1, min(k, c.rank) + 1))))
+    return _combination(ring, ((1, part) for part in parts))
 
 
 def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
@@ -258,12 +296,12 @@ def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
     """Classes d_0..d_T of the virtual difference TX - N (T the truncation)
     by the triangular recursion d_0 = 1,
     d_j = c_j(TX) - c_j(N) - sum_{0<i<j} c_{j-i}(N) d_i."""
-    deltas = [c_tx.ring.one()]
-    for j in range(1, c_tx.ring.truncation + 1):
-        d = c_tx.class_at(j) - c_n.class_at(j)
-        for i in range(1, j):
-            d = d - c_n.class_at(j - i) * deltas[i]
-        deltas.append(d)
+    ring = c_tx.ring
+    deltas = [ring.one()]
+    for j in range(1, ring.truncation + 1):
+        deltas.append(_combination(ring, [
+            (1, c_tx.class_at(j)), (-1, c_n.class_at(j)),
+            *((-1, c_n.class_at(j - i) * deltas[i]) for i in range(1, j))]))
     return tuple(deltas)
 
 
@@ -281,17 +319,17 @@ def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
     summed over the partitions of j by their signed counts.
     """
     ring = c_tx.ring
+    products = {(): ring.one()}  # parts -> c_{l_1}(N) ... c_{l_i}(N)
     e = []
     for j in range(ring.truncation + 1):
-        acc = ring.zero()
+        pairs = []
         for weight, parts in _signed_partitions(j):
-            term = ring.one()
-            for l in parts:
-                term = term * c_n.class_at(l)
-            acc = acc + weight * term
-        e.append(acc)
-    return tuple(sum((c_tx.class_at(t - j) * e[j] for j in range(t + 1)),
-                     ring.zero())
+            if parts:  # the tail parts[1:] partitions a smaller j: met before
+                products[parts] = c_n.class_at(parts[0]) * products[parts[1:]]
+            pairs.append((weight, products[parts]))
+        e.append(_combination(ring, pairs))
+    return tuple(_combination(ring, ((1, c_tx.class_at(t - j) * e[j])
+                                     for j in range(t + 1)))
                  for t in range(ring.truncation + 1))
 
 
@@ -361,6 +399,6 @@ def total_gsv_integral_projective(m: int, ks, d: int) -> int:
     diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
                                        split_bundle_chern(ring, ks))
     foliation_class = (d - 1) * ring.gen("h")
-    acc = sum((diff * foliation_class ** (m - r - t)
-               for t, diff in enumerate(diffs)), ring.zero())
+    acc = _combination(ring, ((1, diff * foliation_class ** (m - r - t))
+                              for t, diff in enumerate(diffs)))
     return elementary_symmetric(r, ks) * acc.coefficient(("h",) * (m - r))

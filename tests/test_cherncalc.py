@@ -191,6 +191,42 @@ def test_keyed_terms_match_name_tuple_reference():
             assert (x == k) == (rx.terms == const.terms)
 
 
+def test_packed_keys_at_the_width_limits():
+    """Every exponent up to 2T in one product, long monomials over mixed
+    degrees, truncation 0 and a generator above the truncation."""
+    rng = random.Random(34)
+    for truncation in range(13):
+        degrees = {"x": 1, "y": 1, "z": 2, "w": 3, "big": truncation + 1}
+        ring = GradedRing(degrees, truncation)
+        assert ring.gen("big").is_zero()
+        assert GradedElement(ring, {("big",): 5, (): 2}) == 2
+        assert ring.one().coefficient(("big",)) == 0
+        assert ring.one().coefficient(("x",) * (2 * truncation + 5)) == 0
+        for a in range(truncation + 1):
+            x_a = GradedElement(ring, {("x",) * a: 1})
+            for b in range(truncation + 1):
+                product = x_a * GradedElement(ring, {("x",) * b: 1})
+                kept = a + b <= truncation
+                assert product.coefficient(("x",) * (a + b)) == int(kept)
+                assert len(product.terms) == int(kept)
+        names = sorted(degrees)
+        for _ in range(10):
+            terms_x, terms_y = (
+                {tuple(rng.choice(names)
+                       for _ in range(rng.randint(0, 2 * truncation))):
+                 rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+                for _ in range(2))
+            x, y = GradedElement(ring, terms_x), GradedElement(ring, terms_y)
+            rx = NameTupleElement(degrees, truncation, terms_x)
+            ry = NameTupleElement(degrees, truncation, terms_y)
+            for new, ref in [(x, rx), (x * y, rx * ry), (x * x, rx * rx),
+                             (x ** 3, rx ** 3), (x - y, rx - ry)]:
+                assert repr(new) == repr(ref)
+                assert new == GradedElement(ring, ref.terms)
+                for mono in list(terms_x) + list(terms_y) + list(ref.terms):
+                    assert new.coefficient(mono) == ref.coefficient(mono)
+
+
 def test_unknown_generator_raises_like_gen():
     ring = GradedRing({"a": 1}, 2)
     with pytest.raises(KeyError, match="no generator named 'zz'"):
@@ -329,6 +365,65 @@ def test_routes_return_every_degree_up_to_truncation():
             assert classes[0] == ring.one()
             for t, d in enumerate(classes):
                 assert d.is_homogeneous_of_degree(t)
+
+
+def reference_routes(m):
+    """The three routes' formulas for d_0..d_m, in NameTupleElement
+    arithmetic over a_t, b_t; the expansion sums over compositions."""
+    degrees = {f"{x}{t}": t for x in "ab" for t in range(1, m + 1)}
+
+    def element(terms):
+        return NameTupleElement(degrees, m, terms)
+
+    one = element({(): 1})
+    a = [one] + [element({(f"a{t}",): 1}) for t in range(1, m + 1)]
+    b = [one] + [element({(f"b{t}",): 1}) for t in range(1, m + 1)]
+    rec = [one]
+    for j in range(1, m + 1):
+        d = a[j] - b[j]
+        for i in range(1, j):
+            d = d - b[j - i] * rec[i]
+        rec.append(d)
+    e = [one]
+    for j in range(1, m + 1):
+        acc = element({})
+        for cuts in itertools.product((0, 1), repeat=j - 1):
+            term, run = one, 1
+            for cut in cuts + (1,):
+                if cut:
+                    term, run = -(term * b[run]), 1
+                else:
+                    run += 1
+            acc = acc + term
+        e.append(acc)
+    exp = []
+    for t in range(m + 1):
+        d = element({})
+        for j in range(t + 1):
+            d = d + a[t - j] * e[j]
+        exp.append(d)
+    inverse = [one]
+    for k in range(1, m + 1):
+        acc = element({})
+        for i in range(1, k + 1):
+            acc = acc + b[i] * inverse[k - i]
+        inverse.append(-acc)
+    total_a, total_inverse = element({}), element({})
+    for t in range(m + 1):
+        total_a, total_inverse = total_a + a[t], total_inverse + inverse[t]
+    product = total_a * total_inverse
+    inv = [product.homogeneous_part(t) for t in range(m + 1)]
+    return rec, exp, inv
+
+
+def test_routes_match_name_tuple_reference():
+    for m in range(3, 8):
+        _, c_tx, c_n = abstract_pair(m)
+        routes = (chern_difference_recursion, chern_difference_expansion,
+                  chern_difference_inversion)
+        for route, want in zip(routes, reference_routes(m)):
+            assert [repr(d) for d in route(c_tx, c_n)] \
+                == [repr(d) for d in want], (m, route.__name__)
 
 
 # ---------------------------------------------------------------------------
