@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 
 from .cherncalc import (
     ChernVector,
@@ -39,8 +38,6 @@ from .errors import (
     UnknownVariableError,
 )
 from .indices import (
-    _bounds_with,
-    _gsv_at_rho_with,
     _ideal_name,
     germ_ideals,
     greuel_tjurina,
@@ -346,12 +343,12 @@ def _need(condition, message):
         raise JobFileError(message)
 
 
-def _need_curve(job: JobSpec, any_r=False):
-    """Require curve equations; unless ``any_r``, exactly m-1 of them."""
+def _need_curve(job: JobSpec):
+    """Require curve equations; exactly m-1 of them except in tjurina mode."""
     _need(job.curve is not None, "[curve] equations: required")
     m, r = job.ambient, job.curve.r
-    _need(any_r or r == m - 1, f"[curve] equations: {job.mode} needs a "
-          f"curve, {m - 1} equations in P^{m}, got {r}")
+    _need(job.mode == "tjurina" or r == m - 1, f"[curve] equations: "
+          f"{job.mode} needs a curve, {m - 1} equations in P^{m}, got {r}")
 
 
 def _point_echo(point: PointOnChart) -> dict:
@@ -423,12 +420,14 @@ def _oracle_info(cases, redo, anomalies) -> dict:
     return {"agreement": agreement, "dimensions_checked": checked}
 
 
-def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
+def _run_total_or_local(job: JobSpec, oracle: bool):
+    """local-gsv, total-gsv, schwartz and euler: the Milnor chain runs in
+    the last two, and every mode but local-gsv reports the closed form."""
     _need(job.foliation is not None, "[foliation] components: required")
     _need_curve(job)
     _need(bool(job.points), "[points] point: at least one point is required")
     anomalies = []
-    if full:
+    if job.mode in ("schwartz", "euler"):
         report = total_indices_certified(job.foliation, job.curve, job.points,
                                          equation_order=job.milnor_order)
     else:
@@ -439,7 +438,7 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
             _local_report_dict(p, r)
             for p, r in zip(job.points, report.per_point)],
     }
-    if total:
+    if job.mode != "local-gsv":
         results["closed_form"] = report.closed_form
         results["local_sum"] = report.local_sum
         results["consistent"] = report.consistent
@@ -458,12 +457,22 @@ def _run_total_or_local(job: JobSpec, oracle: bool, full: bool, total: bool):
                                          report.germs)],
             lambda dims: (dims["tau"], dims["dim_v"], dims["dim_vf"]),
             anomalies)
+    if job.mode == "euler":
+        euler = euler_characteristic_curve(
+            [rep.schwartz for rep in report.per_point])
+        results["chi"] = euler.chi
+        results["l"] = euler.l
+        results["chi_at_least_l"] = euler.holds
+        if not euler.holds:
+            anomalies.append(
+                f"Euler characteristic {euler.chi} below the singularity "
+                f"count {euler.l}")
     return results, anomalies, oracle_info
 
 
-def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
-    tjurina = which == "tjurina"
-    _need_curve(job, any_r=tjurina)
+def _run_germ_invariant(job: JobSpec, oracle: bool):
+    tjurina = job.mode == "tjurina"
+    _need_curve(job)
     _need(bool(job.points), "[points] point: at least one point is required")
     invariant = greuel_tjurina if tjurina else milnor_curve
     check_distinct_points(job.points)
@@ -472,7 +481,7 @@ def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
     values = [invariant(germ) for germ in germs]
     results = {
         "per_point": values,
-        "per_point_detail": [{"point": _point_echo(point), which: value}
+        "per_point_detail": [{"point": _point_echo(point), job.mode: value}
                              for point, value in zip(job.points, values)],
     }
     anomalies: list[str] = []
@@ -486,7 +495,7 @@ def _run_germ_invariant(job: JobSpec, oracle: bool, which: str):
     return results, anomalies, oracle_info
 
 
-def _run_bounds(job: JobSpec):
+def _run_bounds(job: JobSpec, oracle: bool):
     _need(job.ambient is not None, "[job] ambient: required")
     _need("r" in job.parameters, "[parameters] r: required")
     _need("tau" in job.parameters, "[parameters] tau: required")
@@ -496,7 +505,7 @@ def _run_bounds(job: JobSpec):
     except ValueError as exc:
         raise JobFileError(f"[parameters] r: {exc}") from None
     try:
-        lo, hi = _bounds_with(constants, m, r, tau)
+        lo, hi = constants.bounds(tau)
     except ValueError as exc:
         raise JobFileError(f"[parameters] tau: {exc}") from None
     results = {
@@ -505,15 +514,8 @@ def _run_bounds(job: JobSpec):
         "beta_as_stated": constants.beta_as_stated,
         "rho_range_max": constants.rho_range_max,
     }
-    row = None
-    if r == m - 1:
-        row = "1"
-    elif r == m - 2:
-        row = "2"
-    elif r == 2:
-        row = "m-2"
-    elif r == 1:
-        row = "m-1"
+    # a later key wins, so r = m - 1 keeps row "1" at m = 3
+    row = {1: "m-1", 2: "m-2", m - 2: "2", m - 1: "1"}.get(r)
     if row is not None:
         published = published_bound_table(m, row, tau)
         results["published_row"] = {
@@ -522,8 +524,7 @@ def _run_bounds(job: JobSpec):
         }
     if "rho" in job.parameters:
         try:
-            gsv, positive = _gsv_at_rho_with(constants, m, r, tau,
-                                             job.parameters["rho"])
+            gsv, positive = constants.gsv_at_rho(tau, job.parameters["rho"])
         except ValueError as exc:
             raise JobFileError(f"[parameters] rho: {exc}") from None
         results["gsv_at_rho"] = gsv
@@ -531,7 +532,7 @@ def _run_bounds(job: JobSpec):
     return results, [], None
 
 
-def _run_poincare(job: JobSpec):
+def _run_poincare(job: JobSpec, oracle: bool):
     _need(job.ambient is not None, "[job] ambient: required")
     m = job.ambient
     ks, ks_field, d = _grid_inputs(job)
@@ -588,7 +589,7 @@ def _grid_inputs(job: JobSpec):
     return ks, ks_field, d
 
 
-def _run_chern_check(job: JobSpec):
+def _run_chern_check(job: JobSpec, oracle: bool):
     _need(job.ambient is not None, "[job] ambient: required")
     m = job.ambient
     _need(m <= CHERN_CHECK_MAX_AMBIENT, "[job] ambient: chern-check supports "
@@ -624,31 +625,17 @@ def _run_chern_check(job: JobSpec):
     return results, anomalies, None
 
 
-def _run_euler(job: JobSpec, oracle: bool):
-    results, anomalies, oracle_info = _run_total_or_local(
-        job, oracle, full=True, total=True)
-    schwartz = [d["schwartz"] for d in results["per_point_detail"]]
-    euler = euler_characteristic_curve(schwartz)
-    results["chi"] = euler.chi
-    results["l"] = euler.l
-    results["chi_at_least_l"] = euler.holds
-    if not euler.holds:
-        anomalies.append(
-            f"Euler characteristic {euler.chi} below the singularity "
-            f"count {euler.l}")
-    return results, anomalies, oracle_info
-
-
+# mode -> runner(job, oracle); a runner reads its variant from job.mode
 _RUNNERS = {
-    "local-gsv": partial(_run_total_or_local, full=False, total=False),
-    "total-gsv": partial(_run_total_or_local, full=False, total=True),
-    "bounds": lambda job, oracle: _run_bounds(job),
-    "poincare": lambda job, oracle: _run_poincare(job),
-    "chern-check": lambda job, oracle: _run_chern_check(job),
-    "tjurina": partial(_run_germ_invariant, which="tjurina"),
-    "milnor": partial(_run_germ_invariant, which="milnor"),
-    "schwartz": partial(_run_total_or_local, full=True, total=True),
-    "euler": _run_euler,
+    "local-gsv": _run_total_or_local,
+    "total-gsv": _run_total_or_local,
+    "bounds": _run_bounds,
+    "poincare": _run_poincare,
+    "chern-check": _run_chern_check,
+    "tjurina": _run_germ_invariant,
+    "milnor": _run_germ_invariant,
+    "schwartz": _run_total_or_local,
+    "euler": _run_total_or_local,
 }
 MODES = tuple(_RUNNERS)
 

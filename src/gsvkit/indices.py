@@ -321,7 +321,8 @@ def local_indices(germ: CurveGerm, v: VectorFieldGerm) -> LocalIndexReport:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Integer constants controlling the nondegenerate GSV bounds."""
+    """Integer constants controlling the nondegenerate GSV bounds of one
+    (m, r), and the two closed forms in them."""
 
     eps_r: int
     alpha: int
@@ -331,6 +332,36 @@ class BoundConstants:
     # with the bound actually proved (which is eps_r) and is surfaced for
     # reports.  Reconstructing it needs the parity, so it is stored here.
     beta_as_stated: int
+    even: bool  # dim V = m - r is even
+
+    def bounds(self, tau: int) -> tuple[int, int]:
+        """See gsv_bounds_nondegenerate."""
+        if tau < 0:
+            raise ValueError("tau must be non-negative")
+        if self.even:
+            lo, hi = self.alpha + tau, self.eps_r + tau
+        else:
+            lo, hi = self.eps_r - tau, self.alpha - tau
+        if lo > hi:
+            raise InternalCheckError("bound interval inverted")
+        return lo, hi
+
+    def gsv_at_rho(self, tau: int, rho: int) -> tuple[int, bool]:
+        """See gsv_from_rho."""
+        if tau < 0:
+            raise ValueError("tau must be non-negative")
+        if not 0 <= rho <= self.rho_range_max:
+            raise ValueError(
+                f"rho must lie in [0, {self.rho_range_max}], got {rho}")
+        if self.even:
+            gsv = self.eps_r + tau - rho
+            positive = tau + self.eps_r > rho
+        else:
+            gsv = self.eps_r - tau + rho
+            positive = tau - self.eps_r < rho
+        if positive != (gsv > 0):
+            raise InternalCheckError("positivity predicate mismatch")
+        return gsv, positive
 
 
 def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
@@ -353,7 +384,8 @@ def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
         raise InternalCheckError("alpha - eps_r parity identity failed")
     return BoundConstants(eps_r=eps, alpha=alpha, binom=binom,
                           rho_range_max=binom,
-                          beta_as_stated=alpha + sign * binom)
+                          beta_as_stated=alpha + sign * binom,
+                          even=(m - r) % 2 == 0)
 
 
 def gsv_bounds_nondegenerate(m: int, r: int, tau: int) -> tuple[int, int]:
@@ -364,20 +396,7 @@ def gsv_bounds_nondegenerate(m: int, r: int, tau: int) -> tuple[int, int]:
     dim V = m - r even:  [alpha + tau, eps_r + tau]
     dim V = m - r odd:   [eps_r - tau, alpha - tau]
     """
-    return _bounds_with(nondegenerate_bound_constants(m, r), m, r, tau)
-
-
-def _bounds_with(c: BoundConstants, m: int, r: int, tau: int):
-    """gsv_bounds_nondegenerate with the constants ``c`` of (m, r) given."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    if (m - r) % 2 == 0:
-        lo, hi = c.alpha + tau, c.eps_r + tau
-    else:
-        lo, hi = c.eps_r - tau, c.alpha - tau
-    if lo > hi:
-        raise InternalCheckError("bound interval inverted")
-    return lo, hi
+    return nondegenerate_bound_constants(m, r).bounds(tau)
 
 
 def gsv_from_rho(m: int, r: int, tau: int, rho: int) -> tuple[int, bool]:
@@ -390,25 +409,7 @@ def gsv_from_rho(m: int, r: int, tau: int, rho: int) -> tuple[int, bool]:
 
     rho for general codimension is an input, never computed here.
     """
-    return _gsv_at_rho_with(nondegenerate_bound_constants(m, r), m, r, tau,
-                            rho)
-
-
-def _gsv_at_rho_with(c: BoundConstants, m: int, r: int, tau: int, rho: int):
-    """gsv_from_rho with the constants ``c`` of (m, r) given."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    if not 0 <= rho <= c.rho_range_max:
-        raise ValueError(f"rho must lie in [0, {c.rho_range_max}], got {rho}")
-    if (m - r) % 2 == 0:
-        gsv = c.eps_r + tau - rho
-        positive = tau + c.eps_r > rho
-    else:
-        gsv = c.eps_r - tau + rho
-        positive = tau - c.eps_r < rho
-    if positive != (gsv > 0):
-        raise InternalCheckError("positivity predicate mismatch")
-    return gsv, positive
+    return nondegenerate_bound_constants(m, r).gsv_at_rho(tau, rho)
 
 
 def published_bound_table(m: int, row: str, tau: int) -> tuple[int, int]:

@@ -171,6 +171,32 @@ def test_bounds_divergent_published_row(tmp_path, capsys):
     assert results["published_row"]["matches_formula"] is False
 
 
+def test_bounds_published_row_labels(tmp_path, capsys):
+    # the labels collide at m = 3 (r = 1 fits "2" and "m-1", r = 2 fits
+    # "1" and "m-2") and at m = 4 (r = 2 fits "2" and "m-2"); the row of
+    # the smaller dim V = m - r wins
+    for m in range(2, 13):
+        for r in range(1, m):
+            job = BOUNDS_JOB.replace("ambient = 3", f"ambient = {m}").replace(
+                "r = 2", f"r = {r}")
+            code, out, _ = run_cli(capsys, "bounds", "--job",
+                                   write_job(tmp_path, job), "--quiet")
+            assert code == 0, (m, r)
+            results = json.loads(out)["results"]
+            if r == m - 1:
+                row = "1"
+            elif r == m - 2:
+                row = "2"
+            elif r == 2:
+                row = "m-2"
+            elif r == 1:
+                row = "m-1"
+            else:
+                assert "published_row" not in results, (m, r)
+                continue
+            assert results["published_row"]["row"] == row, (m, r)
+
+
 POINCARE_JOB = """
 [job]
 mode = poincare
@@ -294,6 +320,30 @@ def test_chern_check_route_disagreement_exit_2(tmp_path, capsys,
     assert report["results"]["equal"] is True
     assert report["anomalies"] == [
         "difference-class identities disagree symbolically"]
+
+
+def test_arithmetic_modes_ignore_the_oracle(tmp_path, capsys):
+    for mode, job in (("bounds", BOUNDS_JOB), ("poincare", POINCARE_JOB),
+                      ("chern-check", CHERN_JOB)):
+        path = write_job(tmp_path, job)
+        code, out, _ = run_cli(capsys, mode, "--job", path, "--quiet")
+        with_code, with_out, _ = run_cli(capsys, mode, "--job", path,
+                                         "--oracle", "--quiet")
+        report, with_oracle = json.loads(out), json.loads(with_out)
+        assert with_code == code == 0, mode
+        assert with_oracle["results"] == report["results"], mode
+        assert "oracle" not in with_oracle and "oracle" not in report, mode
+
+
+def test_bigint_inside_a_list(tmp_path, capsys):
+    # a list entry has no key for a sibling flag, so it folds in place
+    job = POINCARE_JOB.replace("milnors = 2, 6",
+                               "milnors = 9007199254740993, 2")
+    code, out, _ = run_cli(capsys, "poincare", "--job",
+                           write_job(tmp_path, job), "--quiet")
+    assert code == 0
+    assert json.loads(out)["inputs"]["parameters"]["milnors"] == [
+        {"_bigint": True, "value": "9007199254740993"}, 2]
 
 
 SCHWARTZ_JOB = """
