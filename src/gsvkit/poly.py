@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import neg
 
 from .errors import (
     PolynomialSyntaxError,
@@ -40,6 +41,28 @@ def _print_key(exps: Exponents):
 # ---------------------------------------------------------------------------
 # polynomials
 
+def _accumulate(pairs, terms=None) -> dict[Exponents, Fraction]:
+    """Add (exponents, nonzero coefficient) pairs into a copy of ``terms``.
+
+    A new monomial keeps its coefficient as given, with no arithmetic, and
+    every sum that cancels is dropped, so the result is canonical when
+    ``terms`` is.
+    """
+    acc = dict(terms) if terms else {}
+    get = acc.get
+    for exps, coeff in pairs:
+        prev = get(exps, 0)
+        if prev:
+            total = prev + coeff
+            if total:
+                acc[exps] = total
+            else:
+                del acc[exps]
+        else:
+            acc[exps] = coeff
+    return acc
+
+
 def _coerce_coeff(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -55,7 +78,7 @@ class Polynomial:
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        pairs = []
         n = len(variables)
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -66,11 +89,9 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             coeff = _coerce_coeff(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
+                pairs.append((exps, coeff))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _accumulate(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -136,27 +157,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_variables(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return Polynomial._raw(self.variables, terms)
+        return Polynomial._raw(self.variables,
+                               _accumulate(other.terms.items(), self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_variables(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) - coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return Polynomial._raw(self.variables, terms)
+        negated = zip(other.terms, map(neg, other.terms.values()))
+        return Polynomial._raw(self.variables,
+                               _accumulate(negated, self.terms))
 
     def __neg__(self):
         return Polynomial._raw(self.variables,
@@ -165,16 +175,10 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_variables(other)
-            terms: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = monomial_mul(e1, e2)
-                    acc = terms.get(exps, Fraction(0)) + c1 * c2
-                    if acc:
-                        terms[exps] = acc
-                    else:
-                        del terms[exps]
-            return Polynomial._raw(self.variables, terms)
+            return Polynomial._raw(self.variables, _accumulate(
+                (monomial_mul(e1, e2), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()))
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
@@ -243,16 +247,12 @@ class Polynomial:
             raise ValueError("point length does not match variable count")
         terms = self.terms
         for i, a in enumerate(point):
-            if not a:
-                continue
-            moved: dict[Exponents, Fraction] = {}
-            for exps, coeff in terms.items():
-                e = exps[i]
-                for k in range(e + 1):
-                    key = exps[:i] + (k,) + exps[i + 1:]
-                    moved[key] = (moved.get(key, 0)
-                                  + coeff * comb(e, k) * a ** (e - k))
-            terms = {exps: c for exps, c in moved.items() if c}
+            if a:
+                terms = _accumulate(
+                    (exps[:i] + (k,) + exps[i + 1:],
+                     coeff * comb(exps[i], k) * a ** (exps[i] - k))
+                    for exps, coeff in terms.items()
+                    for k in range(exps[i] + 1))
         return Polynomial._raw(self.variables, dict(terms))
 
     def specialize_at_one(self, index: int) -> "Polynomial":
@@ -260,15 +260,9 @@ class Polynomial:
         if not 0 <= index < len(self.variables):
             raise IndexError(f"variable index {index} out of range")
         new_vars = self.variables[:index] + self.variables[index + 1:]
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            reduced = exps[:index] + exps[index + 1:]
-            acc = terms.get(reduced, Fraction(0)) + coeff
-            if acc:
-                terms[reduced] = acc
-            else:
-                del terms[reduced]
-        return Polynomial._raw(new_vars, terms)
+        return Polynomial._raw(new_vars, _accumulate(
+            (exps[:index] + exps[index + 1:], coeff)
+            for exps, coeff in self.terms.items()))
 
     def rename_variables(self, new_variables) -> "Polynomial":
         new_variables = tuple(new_variables)
@@ -334,53 +328,40 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # jacobians and minors
 
-def jacobian(polys) -> list[list[Polynomial]]:
-    polys = list(polys)
-    if not polys:
-        raise ValueError("empty polynomial list")
-    variables = polys[0].variables
-    for p in polys[1:]:
-        if p.variables != variables:
-            raise VariableMismatchError("jacobian rows use different variables")
-    return [[p.partial_derivative(j) for j in range(len(variables))]
-            for p in polys]
-
-
-def poly_det(matrix) -> Polynomial:
-    """Determinant of a square polynomial matrix by cofactor expansion."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if n == 1:
-        return matrix[0][0]
-    variables = matrix[0][0].variables
-    total = Polynomial.zero(variables)
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = entry * poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def jacobian_minors(polys) -> list[Polynomial]:
     """All r x r minors of the Jacobian of r polynomials in m variables.
 
     Minors are determinants of the column subsets, listed in lexicographic
     order of the column index tuples, each taken as-is (no alternating
     sign): the ideal the minors generate does not see the sign.
+
+    The minors grow one row at a time: a minor of rows 0..k expands along
+    row k, the i-th chosen column with sign (-1)^(k+i), over the minors of
+    rows 0..k-1 already built, so every smaller minor is computed once.
     """
     polys = list(polys)
     r = len(polys)
     m = len(polys[0].variables) if polys else 0
     if r > m:
         raise ValueError(f"need r <= m, got r={r} rows and m={m} variables")
-    jac = jacobian(polys)
-    out = []
-    for cols in itertools.combinations(range(m), r):
-        out.append(poly_det([[row[c] for c in cols] for row in jac]))
-    return out
+    if not polys:
+        raise ValueError("empty polynomial list")
+    variables = polys[0].variables
+    if any(p.variables != variables for p in polys[1:]):
+        raise VariableMismatchError("jacobian rows use different variables")
+    minors = {(j,): polys[0].partial_derivative(j) for j in range(m)}
+    for k in range(1, r):
+        row = [polys[k].partial_derivative(j) for j in range(m)]
+        grown = {}
+        for cols in itertools.combinations(range(m), k + 1):
+            total = Polynomial.zero(variables)
+            for i, c in enumerate(cols):
+                if not row[c].is_zero():
+                    term = row[c] * minors[cols[:i] + cols[i + 1:]]
+                    total = total - term if (k + i) % 2 else total + term
+            grown[cols] = total
+        minors = grown
+    return list(minors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +385,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise PolynomialSyntaxError(

@@ -687,6 +687,9 @@ FIELD_ERRORS = [
     ("total-gsv", GOLDEN_JOB.read_text().replace("ambient = 3", "ambient = 0"),
      "[job] ambient"),
     ("poincare", BARE_MULTIDEGREE_JOB + "order = 2, 1\n", "[curve] order"),
+    # a superscript digit passes str.isdigit() but not int()
+    ("tjurina", SCHWARTZ_JOB.replace("mode = schwartz", "mode = tjurina")
+     .replace('"z0^2*z1', '"z0^\u00b2*z1'), "[curve] equations"),
 ]
 
 
@@ -697,6 +700,143 @@ def test_bad_values_name_their_field(tmp_path, capsys):
         assert code == 1, (mode, field)
         assert json.loads(out)["error"].startswith(field + ": "), (mode, field)
         assert "Traceback" not in err
+
+
+SCHWARTZ_NO_AMBIENT = SCHWARTZ_JOB.replace("ambient = 3\n", "")
+
+# (mode, job text, the exact error): every job-file error of load_job and the
+# arithmetic runners that no other test reaches
+JOB_FILE_ERRORS = [
+    ("bounds", "[job\nmode = bounds\n",
+     "unterminated section header at byte offset 0"),
+    ("bounds", "[job]\nmode bounds\n",
+     "expected 'key = value' at byte offset 6: 'mode bounds'"),
+    ("bounds", "mode = bounds\n",
+     "key/value outside any [section] at byte offset 0"),
+    ("bounds", BOUNDS_JOB + "[extra]\nx = 1\n", "unknown section [extra]"),
+    ("bounds", BOUNDS_JOB + "tau = 3\n",
+     "[parameters] tau: given more than once"),
+    ("bounds", BOUNDS_JOB.replace("mode = bounds\n", ""),
+     "[job] mode: required field is missing"),
+    ("bounds", BOUNDS_JOB.replace("mode = bounds", "mode = bound"),
+     "[job] mode: unknown mode 'bound'; expected one of local-gsv, "
+     "total-gsv, bounds, poincare, chern-check, tjurina, milnor, schwartz, "
+     "euler"),
+    ("bounds", BOUNDS_JOB.replace("ambient = 3", "ambient = three"),
+     "[job] ambient: expected an integer, got 'three'"),
+    ("poincare", POINCARE_JOB.replace("multidegree = 3, 2",
+                                      "multidegree = 3, two"),
+     "[curve] multidegree: expected a comma-separated integer list, "
+     "got 'two'"),
+    ("schwartz", SCHWARTZ_JOB.replace('"z0", "7*z1"', 'z0, "7*z1"'),
+     "[foliation] components: expected a double-quoted string at byte "
+     "offset 72"),
+    ("schwartz", SCHWARTZ_JOB.replace('"4*z3"', '"4*z3'),
+     "[foliation] components: unterminated string at byte offset 94"),
+    ("schwartz", SCHWARTZ_JOB.replace('"3*z2", "4*z3"', '"3*z2" "4*z3"'),
+     "[foliation] components: expected ',' between strings at byte "
+     "offset 93"),
+    ("schwartz", SCHWARTZ_JOB.replace("point = 1 : 0", "point = 1  0"),
+     "[points] point: expected 'chart : a1, ..., a3'"),
+    ("schwartz", SCHWARTZ_JOB.replace("point = 1 :", "point = one :"),
+     "[points] point: chart must be an integer, got 'one'"),
+    ("schwartz", SCHWARTZ_JOB.replace("point = 1 :", "point = 4 :"),
+     "[points] point: chart must lie in 0..3"),
+    ("schwartz", SCHWARTZ_JOB.replace("point = 1 : 0, 0, 0",
+                                      "point = 1 : 0, 0"),
+     "[points] point: expected 3 affine coordinates, got 2"),
+    ("schwartz", SCHWARTZ_JOB.replace("point = 1 : 0, 0, 0",
+                                      "point = 1 : 0, 1/0, 0"),
+     "[points] point: expected a rational number p or p/q, got '1/0'"),
+    ("schwartz", SCHWARTZ_NO_AMBIENT,
+     "[job] ambient: required with a foliation"),
+    ("tjurina", SCHWARTZ_NO_AMBIENT.replace("mode = schwartz", "mode = tjurina")
+     .replace('components = "z0", "7*z1", "3*z2", "4*z3"\n', ""),
+     "[job] ambient: required with a curve"),
+    ("bounds", "[job]\nmode = bounds\n[points]\npoint = 0 : 0, 0, 0\n",
+     "[job] ambient: required with points"),
+    ("schwartz", SCHWARTZ_JOB.replace("degree = 1\n", ""),
+     "[foliation] degree: required field is missing"),
+    ("schwartz", SCHWARTZ_JOB.replace(', "4*z3"', ""),
+     "[foliation] components: need m+1 = 4 components, got 3"),
+    ("schwartz", SCHWARTZ_JOB.replace("multidegree = 3, 2",
+                                      "multidegree = 3, 3"),
+     "[curve] equations: equation 1 is not homogeneous of degree 3"),
+    ("schwartz", SCHWARTZ_JOB.replace("order = 2, 1", "order = 1, 1"),
+     "[curve] order: must be a permutation of 1..2"),
+    ("bounds", BOUNDS_JOB.replace("r = 2", "r = 3"),
+     "[parameters] r: need m >= 2 and 1 <= r <= m-1, got m=3, r=3"),
+    ("bounds", BOUNDS_JOB + "rho = 99\n",
+     "[parameters] rho: rho must lie in [0, 1], got 99"),
+    ("poincare", POINCARE_JOB.replace("ambient = 3", "ambient = 4"),
+     "[curve] multidegree: the curve bound needs a multidegree of length m-1"),
+    ("poincare", "[job]\nmode = poincare\nambient = 3\n"
+     "[parameters]\ndegree = 1\n",
+     "[curve] multidegree or [parameters] k: required"),
+    ("poincare", "[job]\nmode = poincare\nambient = 3\n[parameters]\nk = 2\n",
+     "[foliation] degree or [parameters] degree: required"),
+]
+
+
+def test_job_file_errors_exit_1_with_their_exact_text(tmp_path, capsys):
+    for mode, job, error in JOB_FILE_ERRORS:
+        code, out, err = run_cli(capsys, mode, "--job",
+                                 write_job(tmp_path, job), "--quiet")
+        assert code == 1, error
+        assert json.loads(out) == {"error": error}
+        assert err == f"gsvkit: {error}\n"
+
+
+def test_oracle_disagreement_is_an_anomaly(tmp_path, capsys, monkeypatch):
+    _, plain, _ = run_cli(capsys, "total-gsv", "--job", str(GOLDEN_JOB),
+                          "--quiet")
+    original = cli.quotient_dim_macaulay
+    monkeypatch.setattr(cli, "quotient_dim_macaulay",
+                        lambda gens: original(gens) + 1)
+    code, out, _ = run_cli(capsys, "total-gsv", "--job", str(GOLDEN_JOB),
+                           "--oracle", "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["oracle"] == {"agreement": False, "dimensions_checked": 6}
+    assert report["anomalies"] == [
+        "oracle disagreement at chart 0 point ['0', '0', '0']: staircase "
+        "(2, 1, 1) vs Macaulay (3, 2, 2)",
+        "oracle disagreement at chart 1 point ['0', '0', '0']: staircase "
+        "(6, 1, 1) vs Macaulay (7, 2, 2)",
+    ]
+    assert report["results"] == json.loads(plain)["results"]
+
+
+# a degree-5 plane curve with Milnor number 1 under a degree-0 foliation
+POINCARE_ANOMALY_JOB = """
+[job]
+mode = poincare
+ambient = 2
+
+[foliation]
+degree = 0
+
+[parameters]
+k = 5
+milnors = 1
+"""
+
+
+def test_poincare_bound_anomalies(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "poincare", "--job",
+                           write_job(tmp_path, POINCARE_ANOMALY_JOB),
+                           "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["results"]["milnor_bound"] == \
+        {"lhs": 15, "rhs": 0, "holds": False}
+    assert report["results"]["plane_bound"] == \
+        {"lhs": 15, "rhs": 0, "holds": False}
+    assert report["anomalies"] == [
+        "Milnor-weighted degree bound failed",
+        "inequality fails: no degree-0 foliation leaves such a curve "
+        "invariant (input inconsistent with invariance)",
+    ]
 
 
 # ---------------------------------------------------------------------------

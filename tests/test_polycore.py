@@ -56,6 +56,18 @@ def test_parse_rejects_decimal_literal():
         parse_polynomial("1.5*x1", X3)
 
 
+def test_parse_rejects_non_ascii_digits_that_int_cannot_read():
+    # str.isdigit() holds for superscripts, which int() rejects
+    for text, offset in (("x1^\u00b2", 3), ("\u00b3*x1", 0)):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(text, X3)
+        assert exc.value.offset == offset
+        assert str(exc.value).startswith(
+            f"unexpected character {text[offset]!r}")
+    # a decimal digit of another script is one int() reads
+    assert parse_polynomial("\u0663*x1", X3) == P("3*x1")
+
+
 def test_parse_rejects_implicit_multiplication():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("2*x1 + 3 x2", X3)
@@ -253,3 +265,66 @@ def test_translate_matches_evaluation(p, point):
                         in enumerate(p.terms.items())})
     point3 = (point[0], 0, Fraction(point[1], 2))
     assert q.translate(point3) == shifted_reference(q, point3)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+exponents3 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def polynomials3(draw, max_terms=5):
+    terms = draw(st.dictionaries(exponents3, rationals, max_size=max_terms))
+    return Polynomial(X3, terms)
+
+
+def canonical(p):
+    return all(c and isinstance(c, Fraction) for c in p.terms.values())
+
+
+@given(polynomials3(), polynomials3(), polynomials3(),
+       st.tuples(rationals, rationals, rationals),
+       st.tuples(rationals, rationals, rationals), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_term_sums_cancel_and_store_no_zero(a, b, c, p, q, index):
+    assert (a + b) - b == a
+    assert (a - a).terms == {}
+    assert a * (b + c) == a * b + a * c
+    for result in (a + b, a - b, a * b, a.translate(p),
+                   a.specialize_at_one(index)):
+        assert canonical(result)
+    assert a.translate(p).evaluate(q) == \
+        a.evaluate([pi + qi for pi, qi in zip(p, q)])
+
+
+def leibniz_det(matrix):
+    """sum over permutations s of sign(s) * prod(matrix[i][s(i)])."""
+    n = len(matrix)
+    total = Polynomial.zero(matrix[0][0].variables)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Polynomial.constant(total.variables, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def jacobian_rows(draw):
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(1, m))
+    variables = tuple(f"x{i}" for i in range(m))
+    monomials = st.tuples(*[st.integers(0, 2)] * m)
+    return [Polynomial(variables, draw(st.dictionaries(
+        monomials, rationals, max_size=3))) for _ in range(r)]
+
+
+@given(jacobian_rows())
+@settings(max_examples=60, deadline=None)
+def test_minors_match_the_leibniz_determinant(polys):
+    m = len(polys[0].variables)
+    jac = [[p.partial_derivative(j) for j in range(m)] for p in polys]
+    expected = [leibniz_det([[row[c] for c in cols] for row in jac])
+                for cols in itertools.combinations(range(m), len(polys))]
+    assert jacobian_minors(polys) == expected
