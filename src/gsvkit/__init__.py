@@ -29,6 +29,7 @@ from .indices import (
 from .localring import (
     IdealGens,
     StandardBasis,
+    check_membership,
     membership_with_cofactors,
     quotient_dim,
     quotient_dim_macaulay,

@@ -41,6 +41,7 @@ from .indices import (
     _ideal_name,
     germ_ideals,
     greuel_tjurina,
+    invariance_certificate,
     milnor_curve,
     milnor_from_chain,
     published_bound_table,
@@ -81,7 +82,7 @@ class JobFileError(GsvkitError):
 @dataclass(frozen=True)
 class RawValue:
     text: str
-    offset: int  # byte offset of the value within the file
+    offset: int  # UTF-8 byte offset of the value within the file
 
 
 def parse_job_text(text: str) -> dict[str, dict[str, list[RawValue]]]:
@@ -92,7 +93,7 @@ def parse_job_text(text: str) -> dict[str, dict[str, list[RawValue]]]:
         raw = line.rstrip("\r\n")
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith(";"):
-            offset += len(line)
+            offset += len(line.encode())
             continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
@@ -100,7 +101,7 @@ def parse_job_text(text: str) -> dict[str, dict[str, list[RawValue]]]:
                     f"unterminated section header at byte offset {offset}")
             current = stripped[1:-1].strip()
             sections.setdefault(current, {})
-            offset += len(line)
+            offset += len(line.encode())
             continue
         if "=" not in raw:
             raise JobFileError(
@@ -109,10 +110,11 @@ def parse_job_text(text: str) -> dict[str, dict[str, list[RawValue]]]:
             raise JobFileError(
                 f"key/value outside any [section] at byte offset {offset}")
         key, value = raw.split("=", 1)
-        value_offset = offset + len(key) + 1 + (len(value) - len(value.lstrip()))
+        before = raw[:len(raw) - len(value.lstrip())]  # key, '=' and blanks
+        value_offset = offset + len(before.encode())
         sections[current].setdefault(key.strip(), []).append(
             RawValue(value.strip(), value_offset))
-        offset += len(line)
+        offset += len(line.encode())
     return sections
 
 
@@ -152,6 +154,10 @@ def _parse_quoted_list(raw: RawValue, field: str) -> list[tuple[str, int]]:
     """Comma-separated quoted strings; returns (content, file offset) pairs."""
     out = []
     text = raw.text
+
+    def at(i):
+        return raw.offset + len(text[:i].encode())
+
     i, n = 0, len(text)
     while True:
         while i < n and text[i].isspace():
@@ -159,12 +165,12 @@ def _parse_quoted_list(raw: RawValue, field: str) -> list[tuple[str, int]]:
         if i >= n or text[i] != '"':
             raise JobFileError(
                 f"{field}: expected a double-quoted string at byte offset "
-                f"{raw.offset + i}")
+                f"{at(i)}")
         j = text.find('"', i + 1)
         if j < 0:
             raise JobFileError(
-                f"{field}: unterminated string at byte offset {raw.offset + i}")
-        out.append((text[i + 1:j], raw.offset + i + 1))
+                f"{field}: unterminated string at byte offset {at(i)}")
+        out.append((text[i + 1:j], at(i + 1)))
         i = j + 1
         while i < n and text[i].isspace():
             i += 1
@@ -173,7 +179,7 @@ def _parse_quoted_list(raw: RawValue, field: str) -> list[tuple[str, int]]:
         if text[i] != ",":
             raise JobFileError(
                 f"{field}: expected ',' between strings at byte offset "
-                f"{raw.offset + i}")
+                f"{at(i)}")
         i += 1
 
 
@@ -451,6 +457,9 @@ def _run_total_or_local(job: JobSpec, oracle: bool):
         anomalies.extend(rep.anomalies)
     oracle_info = None
     if oracle:
+        # tangency again, as an exact certificate that re-expands
+        for germ in report.germs:
+            invariance_certificate(*germ)
         oracle_info = _oracle_info(
             [(point, germ_ideals(*germ), (rep.tau, rep.dim_v, rep.dim_vf))
              for point, rep, germ in zip(job.points, report.per_point,

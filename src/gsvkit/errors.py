@@ -6,7 +6,8 @@ class GsvkitError(Exception):
 
 
 class PolynomialSyntaxError(GsvkitError):
-    """Malformed polynomial text.  ``offset`` is the 0-based byte offset."""
+    """Malformed polynomial text.  ``offset`` is the 0-based UTF-8 byte
+    offset."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")

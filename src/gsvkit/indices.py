@@ -40,6 +40,7 @@ from .errors import (
 )
 from .localring import (
     IdealGens,
+    check_membership,
     membership_with_cofactors,
     quotient_dim,
 )
@@ -137,19 +138,28 @@ class HMatrix:
     rows: tuple[MembershipCertificate, ...]
 
 
+def _tangency(germ: CurveGerm, v: VectorFieldGerm, check):
+    """``check(targets, gens)`` on the df_i(v) against <f>.  A non-member
+    raises NotInvariantError naming its row; a spent budget raises
+    IterationLimitError naming the tangency step."""
+    if germ.variables != v.variables:
+        raise ValueError("germ and field use different variable lists")
+    targets = [directional_derivative(f, v) for f in germ.equations]
+    try:
+        return check(targets, IdealGens(germ.equations))
+    except NotMemberError as err:
+        raise NotInvariantError(err.index) from None
+    except IterationLimitError as exc:
+        raise IterationLimitError(f"tangency: {exc}") from None
+
+
 def invariance_certificate(germ: CurveGerm, v: VectorFieldGerm) -> HMatrix:
     """Certify tangency of v to the germ, or raise NotInvariantError.
 
     Row i certifies unit_i * df_i(v) = sum_j h_ij * f_j, exactly checked
     by ``membership_with_cofactors``; the matrix is not unique.
     """
-    if germ.variables != v.variables:
-        raise ValueError("germ and field use different variable lists")
-    targets = [directional_derivative(f, v) for f in germ.equations]
-    try:
-        rows = membership_with_cofactors(targets, IdealGens(germ.equations))
-    except NotMemberError as err:
-        raise NotInvariantError(err.index) from None
+    rows = _tangency(germ, v, membership_with_cofactors)
     return HMatrix(tuple(MembershipCertificate(unit, cofactors)
                          for unit, cofactors in rows))
 
@@ -274,7 +284,7 @@ def _local_report(germ: CurveGerm, v: VectorFieldGerm,
     """Tangency, tau, dim_v, dim_vf and, with ``chain``, chain steps 1..r."""
     if germ.r != germ.m - 1:
         raise ValueError("local GSV along a curve needs r = m-1 equations")
-    invariance_certificate(germ, v)
+    _tangency(germ, v, check_membership)
     tau = greuel_tjurina(germ)
     dims = ideal_dimensions(germ_ideals(germ, v, tau=False, chain=chain))
     dim_v, dim_vf = dims.pop("dim_v"), dims.pop("dim_vf")
@@ -327,12 +337,18 @@ class BoundConstants:
     eps_r: int
     alpha: int
     binom: int
-    rho_range_max: int
-    # the published closed form alpha + (-1)^(m-r-1) * binom; it disagrees
-    # with the bound actually proved (which is eps_r) and is surfaced for
-    # reports.  Reconstructing it needs the parity, so it is stored here.
-    beta_as_stated: int
     even: bool  # dim V = m - r is even
+
+    @property
+    def rho_range_max(self) -> int:
+        return self.binom
+
+    @property
+    def beta_as_stated(self) -> int:
+        """The published closed form alpha + (-1)^(m-r-1) * binom; it
+        disagrees with the bound actually proved (which is eps_r) and is
+        surfaced for reports."""
+        return self.alpha + (-self.binom if self.even else self.binom)
 
     def bounds(self, tau: int) -> tuple[int, int]:
         """See gsv_bounds_nondegenerate."""
@@ -383,8 +399,6 @@ def nondegenerate_bound_constants(m: int, r: int) -> BoundConstants:
     if alpha - eps != sign * binom:
         raise InternalCheckError("alpha - eps_r parity identity failed")
     return BoundConstants(eps_r=eps, alpha=alpha, binom=binom,
-                          rho_range_max=binom,
-                          beta_as_stated=alpha + sign * binom,
                           even=(m - r) % 2 == 0)
 
 

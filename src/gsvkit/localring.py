@@ -39,26 +39,30 @@ certificates.  Each caller chooses the row width:
                              leading ideal
   standard_basis             rows ``[p, lift over the generators]``, so
                              each basis element comes with its lift
+  check_membership           bare rows ``[p]``: a target is a member
+                             exactly when its weak normal form is 0
   membership_with_cofactors  rows ``[p, unit, cofactors]``, which certify
                              ``unit * p = sum(cofactor_j * g_j)`` exactly
                              with the unit invertible at the origin
 
-Bare rows are completed with the highest-corner truncation
-(Greuel-Pfister 1.7; Singular's ``std`` with a ``noether`` bound).  Once
-the leading monomials L(G) of the partial basis G contain a pure power of
-every variable, let N be 1 + the top degree of their staircase.  Every
-monomial of degree N then lies in L(G), so it leads an element of I; the
-order ranks lower degree higher, so these elements span m^N modulo
-m^(N+1).  Hence m^N lies in I + m * m^N, and Nakayama's lemma gives m^N in
-I, so every term of degree >= N is itself in I.  From then on such terms
-are dropped from every S-polynomial, after every Mora step and from the
-basis rows (a row whose leading monomial has degree >= N is kept whole).
+The bare rows of ``quotient_dim`` are completed with the highest-corner
+truncation (Greuel-Pfister 1.7; Singular's ``std`` with a ``noether``
+bound).  Once the leading monomials L(G) of the partial basis G contain a
+pure power of every variable, let N be 1 + the top degree of their
+staircase.  Every monomial of degree N then lies in L(G), so it leads an
+element of I; the order ranks lower degree higher, so these elements span
+m^N modulo m^(N+1).  Hence m^N lies in I + m * m^N, and Nakayama's lemma
+gives m^N in I, so every term of degree >= N is itself in I.  From then on
+such terms are dropped from every S-polynomial, after every Mora step and
+from the basis rows (a row whose leading monomial has degree >= N is kept
+whole).
 Whenever an element joins the basis, N is recomputed by the same walk that
 counts the staircase.  N must be this exact corner: a looser N from the
 pure powers x_i^a_i alone, 1 + sum(a_i - 1), is valid too, but the longer
 rows it keeps can make the completion thousands of times slower.  Tracked
 rows are never truncated: their lifts, units and cofactors must re-expand
-exactly, and a dropped term of m^N would break that identity.
+exactly, and a dropped term of m^N would break that identity.  Nor are the
+bare rows of ``check_membership``, whose normal forms are taken in full.
 
 An independent Macaulay-matrix oracle, ``quotient_dim_macaulay``, is
 provided for cross-checks.  It keys each monomial as one integer whose
@@ -377,6 +381,49 @@ def quotient_dim(gens: IdealGens) -> int:
     return stairs[0]
 
 
+def _reduce_targets(targets, gens: IdealGens, wide: bool):
+    """The reduced rows of the targets against one completion of the
+    generator rows, or NotMemberError at the first target outside the ideal.
+
+    Bare rows are ``[p]``.  Wide rows are ``[p, unit, cofactors]`` with
+    ``p = unit * target + sum(cofactor_j * g_j)``: generator j starts as
+    ``[g_j, 0, e_j]`` and each target as ``[target, 1, 0, ..., 0]``.
+    """
+    variables = gens.variables
+    nvars = len(variables)
+    n = len(gens.generators)
+    zero = Polynomial.zero(variables)
+    one = Polynomial.constant(variables, 1)
+    if wide:
+        tails = [(zero,) + tuple(one if k == j else zero for k in range(n))
+                 for j in range(n)]
+        start = (one,) + (zero,) * n
+    else:
+        tails, start = [()] * n, ()
+    basis, _ = _complete([_pack((g,) + tail)
+                          for g, tail in zip(gens.generators, tails)], nvars)
+    reducers = [_reducer(row, _FIELD * nvars) for row in basis]
+    budget = _Budget(DEFAULT_STEP_LIMIT)
+    rems = []
+    for index, p in enumerate(targets):
+        rem = _mora(_pack((p,) + start), reducers, budget, nvars)
+        if rem[0]:
+            normal_form = _unpack(rem[:1], variables,
+                                  gcd(*rem[0].values()))[0]
+            raise NotMemberError(
+                f"target {index}: {p} is not in the local ideal "
+                f"(normal form {normal_form})", index)
+        rems.append(rem)
+    return rems
+
+
+def check_membership(targets, gens: IdealGens) -> None:
+    """Raise NotMemberError, whose ``index`` is the first target outside
+    the local ideal of ``gens``, unless every target is a member.  Bare
+    rows: no certificate is built."""
+    _reduce_targets(targets, gens, wide=False)
+
+
 def membership_with_cofactors(targets, gens: IdealGens):
     """Certified membership of each target polynomial in the local ideal
     of ``gens``, all against one standard basis.
@@ -386,24 +433,8 @@ def membership_with_cofactors(targets, gens: IdealGens):
     NotMemberError whose ``index`` is the first target outside the ideal.
     """
     variables = gens.variables
-    nvars = len(variables)
-    zero = Polynomial.zero(variables)
-    start = ((Polynomial.constant(variables, 1),)
-             + (zero,) * len(gens.generators))
-    sb = standard_basis(gens)
-    # rows [p, unit, cofactors] with p = unit * target + sum(cofactor_j * g_j)
-    reducers = [_reducer(_pack((b, zero) + lift), _FIELD * nvars)
-                for b, lift in zip(sb.elements, sb.lifts)]
-    budget = _Budget(DEFAULT_STEP_LIMIT)
     certificates = []
-    for index, p in enumerate(targets):
-        rem = _mora(_pack((p,) + start), reducers, budget, nvars)
-        if rem[0]:
-            normal_form = _unpack(rem[:1], variables,
-                                  gcd(*rem[0].values()))[0]
-            raise NotMemberError(
-                f"target {index}: {p} is not in the local ideal "
-                f"(normal form {normal_form})", index)
+    for p, rem in zip(targets, _reduce_targets(targets, gens, wide=True)):
         # 0 = u * p + sum(c_j * g_j); normalize so the unit is 1 at 0
         unit_at_0 = rem[1].get(0, 0)
         unit = _unpack(rem[1:2], variables, unit_at_0)[0]

@@ -378,6 +378,11 @@ _END = "end"
 
 
 def _tokenize(text: str):
+    """Tokens (kind, text, UTF-8 byte offset)."""
+    # at[i] is the byte offset of character i
+    at = (range(len(text) + 1) if text.isascii() else list(
+        itertools.accumulate((len(ch.encode("utf-8", "surrogatepass"))
+                              for ch in text), initial=0)))
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -391,26 +396,26 @@ def _tokenize(text: str):
                 j += 1
             if j < n and text[j] == ".":
                 raise PolynomialSyntaxError(
-                    "non-integer literal: decimal point not allowed", j)
-            tokens.append(("int", text[i:j], i))
+                    "non-integer literal: decimal point not allowed", at[j])
+            tokens.append(("int", text[i:j], at[i]))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            tokens.append(("name", text[i:j], at[i]))
             i = j
             continue
         if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
+            tokens.append((ch, ch, at[i]))
             i += 1
             continue
         if ch == ".":
             raise PolynomialSyntaxError(
-                "non-integer literal: decimal point not allowed", i)
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append((_END, "", n))
+                "non-integer literal: decimal point not allowed", at[i])
+        raise PolynomialSyntaxError(f"unexpected character {ch!r}", at[i])
+    tokens.append((_END, "", at[n]))
     return tokens
 
 
@@ -494,7 +499,8 @@ class _Parser:
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse polynomial text over the given ordered variable names.
 
-    Raises PolynomialSyntaxError (with byte offset) or UnknownVariableError.
+    Raises PolynomialSyntaxError or UnknownVariableError, each with the
+    UTF-8 byte offset of the offending token.
     Printing a polynomial with ``str`` and re-parsing is a fixed point.
     """
     return _Parser(text, variables).parse()

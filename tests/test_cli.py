@@ -483,6 +483,22 @@ def test_unknown_variable_exit_1(tmp_path, capsys):
     assert "unknown variable" in json.loads(out)["error"]
 
 
+def test_offsets_count_utf8_bytes(tmp_path, capsys):
+    # an e-acute (2 bytes) before the section and a no-break space (2 bytes)
+    # inside the string: both offsets are byte indexes into the file
+    job = ("# \u00e9\n[job]\nmode = tjurina\nambient = 3\n[curve]\n"
+           'equations = "z0^2*z1 - z2^3", "z3^2 - z0*\u00a0w"\n'
+           "[points]\npoint = 0 : 0, 0, 0\n").encode()
+    path = tmp_path / "job.ini"
+    path.write_bytes(job)
+    code, out, _ = run_cli(capsys, "tjurina", "--job", str(path), "--quiet")
+    assert code == 1
+    assert job.index(b"w\"") == 89
+    assert json.loads(out)["error"] == (
+        "[curve] equations: unknown variable 'w' (byte offset 12) -- file "
+        "byte offset 89")
+
+
 def test_missing_point_exit_2(tmp_path, capsys):
     job = "\n".join(line for line in SCHWARTZ_JOB.splitlines()
                     if not line.startswith("point = 1"))

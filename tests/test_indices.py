@@ -226,6 +226,13 @@ def test_ideal_dimensions_names_ideal_on_spent_budget(monkeypatch):
         greuel_tjurina(CurveGerm((f,)))
 
 
+def test_local_gsv_names_tangency_on_spent_budget(monkeypatch):
+    # the completion of <x1 - x2^3, x3^2 - x1> needs a Mora reduction
+    monkeypatch.setattr(localring, "DEFAULT_STEP_LIMIT", 0)
+    with pytest.raises(IterationLimitError, match=r"^tangency: .*budget"):
+        local_gsv_curve(germ(*CUSP_GERM), field(*CUSP_FIELD))
+
+
 def test_zero_field_named():
     g = germ(*CUSP_GERM)
     with pytest.raises(InfiniteDimensionError, match="identically zero"):
@@ -291,21 +298,26 @@ def test_report_is_checked_when_built_and_frozen():
         report.gsv = 0
 
 
-def test_local_gsv_builds_one_tracked_basis(monkeypatch):
-    # the tangency certificate checks all r rows against one tracked
-    # standard basis; the colengths run on bare rows and build none
-    calls = []
-    original = localring.standard_basis
+def test_local_gsv_builds_no_tracked_basis(monkeypatch):
+    # tangency is decided on bare rows: no job path builds a tracked
+    # standard basis or a certificate
+    line = germ("x2", "x3")
+    skew = field("x1", "x2", "x1 + x3")
+    with pytest.raises(NotInvariantError) as certified:
+        invariance_certificate(line, skew)
 
-    def counting(ideal):
-        calls.append(ideal)
-        return original(ideal)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-point path must not build a certificate")
 
-    monkeypatch.setattr(localring, "standard_basis", counting)
-    g = germ(*CUSP_GERM)
-    report = local_gsv_curve(g, field(*CUSP_FIELD))
-    assert report.tau == 2
-    assert calls == [IdealGens(g.equations)]
+    for module in (localring, indices):
+        monkeypatch.setattr(module, "membership_with_cofactors", refuse)
+    monkeypatch.setattr(localring, "standard_basis", refuse)
+    g, v = germ(*CUSP_GERM), field(*CUSP_FIELD)
+    assert local_gsv_curve(g, v).tau == 2
+    assert local_indices(g, v).milnor == 2
+    with pytest.raises(NotInvariantError) as bare:
+        local_gsv_curve(line, skew)
+    assert bare.value.row == certified.value.row == 1
 
 
 # ---------------------------------------------------------------------------

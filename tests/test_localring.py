@@ -28,6 +28,7 @@ from gsvkit.localring import (
     _reducer,
     _staircase,
     _unpack,
+    check_membership,
     membership_with_cofactors,
     quotient_dim,
     quotient_dim_macaulay,
@@ -431,13 +432,13 @@ def test_membership_many_targets_one_basis(monkeypatch):
     g = gens("x1 - x2^3", "x3^2 - x1")
     targets = [P("6*x1 - 6*x2^3"), P("x3^2 - x2^3"), P("6*x3^2 - 6*x1")]
     calls = []
-    original = localring.standard_basis
+    original = localring._complete
 
-    def counting(ideal):
-        calls.append(ideal)
-        return original(ideal)
+    def counting(rows, nvars, truncate=False):
+        calls.append(rows)
+        return original(rows, nvars, truncate)
 
-    monkeypatch.setattr(localring, "standard_basis", counting)
+    monkeypatch.setattr(localring, "_complete", counting)
     certificates = membership_with_cofactors(targets, g)
     assert len(calls) == 1
     assert certificates[0] == (P("1"), (P("6"), P("0")))
@@ -450,6 +451,19 @@ def test_membership_many_targets_one_basis(monkeypatch):
     with pytest.raises(NotMemberError) as caught:
         membership_with_cofactors(targets[:2] + [P("x2")], g)
     assert caught.value.index == 2
+
+
+def test_check_membership_bare_rows_where_certificates_stall():
+    # the tracked rows of this ideal grow for seconds; bare rows decide
+    # membership in a fraction of one
+    g = gens("3*x1*x2^2*x3^2 + x1*x2*x3^3 + 7*x1^3 - x1",
+             "7*x1^2*x2^3 + 2*x1^2*x2^2*x3 + 7*x3",
+             "-5*x1*x2*x3^2 + 3*x1*x3^3 - 5*x1^3")
+    g1, g2, g3 = g.generators
+    check_membership([P("x2") * g1 + P("x1") * g2 + P("x3^2") * g3], g)
+    with pytest.raises(NotMemberError) as caught:
+        check_membership([P("x2")], g)
+    assert caught.value.index == 0
 
 
 def test_membership_zero_is_member():
