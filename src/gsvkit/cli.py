@@ -745,7 +745,8 @@ def main(argv=None) -> int:
         print(f"gsvkit: {exc}", file=sys.stderr)
         return 1
     try:
-        with open(args.job, "r", encoding="utf-8") as handle:
+        # newline="": a CRLF stays two characters, so offsets stay bytes
+        with open(args.job, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"gsvkit: cannot read job file: {exc}", file=sys.stderr)

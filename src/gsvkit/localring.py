@@ -71,7 +71,9 @@ monomial by adding that monomial's key, and it never inserts a multiple
 g*s*x_i of a row g*s that reduced to zero or was skipped: that row is a
 combination of earlier rows, whose multiples by x_i come earlier too, so
 the skipped multiple adds nothing to the span (the syzygy criterion of
-Faugere's F5).
+Faugere's F5).  Before the matrix is built, generators c*x_i + h with h
+one term free of x_i eliminate their x_i, which leaves every
+dim O/(I + m^D) the same (Greuel-Pfister 1.5).
 """
 
 from __future__ import annotations
@@ -453,6 +455,72 @@ def membership_with_cofactors(targets, gens: IdealGens):
 # Macaulay-matrix oracle
 
 MACAULAY_MAX_DEGREE = 24
+_UNSTABLE = (f"Macaulay corank did not stabilize by degree "
+             f"{MACAULAY_MAX_DEGREE}; the ideal may not be zero-dimensional")
+
+
+def _solved_variable(g):
+    """(i, a, alpha) when g = c*x_i + h with h one term free of x_i, or 0,
+    so that g = 0 reads x_i = a*x^alpha (alpha without x_i); else None."""
+    n = len(g.variables)
+    if len(g.terms) > 2:
+        return None
+    for i in range(n):
+        linear = tuple(int(k == i) for k in range(n))
+        if linear in g.terms and sum(1 for e in g.terms if e[i]) == 1:
+            if len(g.terms) == 1:
+                return i, 0, (0,) * (n - 1)
+            (e, b), = [(e, b) for e, b in g.terms.items() if e != linear]
+            return i, -b / g.terms[linear], e[:i] + e[i + 1:]
+    return None
+
+
+def _substitute(p, i, a, alpha):
+    """``p`` with x_i -> a*x^alpha and x_i dropped from the variables,
+    without the terms of degree >= MACAULAY_MAX_DEGREE that the
+    substitution makes."""
+    terms: dict = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        e = e[:i] + e[i + 1:]
+        if k:
+            e = tuple(b + k * f for b, f in zip(e, alpha))
+            if sum(e) >= MACAULAY_MAX_DEGREE:
+                continue
+            c *= a ** k
+        terms[e] = terms.get(e, 0) + c
+    return Polynomial(p.variables[:i] + p.variables[i + 1:], terms)
+
+
+def _eliminate_linear(generators):
+    """Generators, in fewer variables, of an ideal with the same
+    dim O/(I + m^D) for every D <= MACAULAY_MAX_DEGREE (see
+    ``quotient_dim_macaulay``).
+
+    While some generator is g = c*x_i + h with h one term free of x_i, or
+    0, x_i -> -h/c goes into the others and g and x_i are dropped; one
+    variable is always kept.  Each term then goes to at most one term, so
+    no generator grows: a denser h would fill the rows of the matrix.  A
+    generator with a constant term is a unit, and the ideal is left as it
+    is.  Raises InfiniteDimensionError, as the scan would, when no
+    generator is left.
+    """
+    generators = list(generators)
+    if any(g.constant_term for g in generators):
+        return generators
+    while len(generators[0].variables) > 1:
+        for j, g in enumerate(generators):
+            solved = _solved_variable(g)
+            if solved:
+                break
+        else:
+            return generators
+        rest = [_substitute(p, *solved)
+                for p in generators[:j] + generators[j + 1:]]
+        generators = [p for p in rest if not p.is_zero()]
+        if not generators:
+            raise InfiniteDimensionError(_UNSTABLE)
+    return generators
 
 
 def _echelon_insert(pivots, row):
@@ -504,11 +572,21 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
     their multiples by x_i come before g*s, so every skipped row lies in the
     span of the rows already inserted and no c(D) changes.
 
+    The matrix is built after ``_eliminate_linear``: a generator c*x_i + h
+    with h one term free of x_i removes x_i and itself, x_i -> -h/c going
+    into the others.  The substitution maps m
+    onto the maximal ideal of the smaller ring and I + m^D onto the image
+    ideal plus its D-th power, so every c(D), the stop degree and the
+    behaviour at MACAULAY_MAX_DEGREE stay the same; the terms of degree
+    >= MACAULAY_MAX_DEGREE it makes lie in every m^D the scan reads and are
+    dropped.  With n smaller there are fewer columns and multiples.
+
     Only meaningful (and guaranteed to stabilize) for zero-dimensional
     ideals; raises InfiniteDimensionError past MACAULAY_MAX_DEGREE.
     """
-    nvars = len(gens.variables)
-    base = 1 + MACAULAY_MAX_DEGREE + max(g.degree() for g in gens.generators)
+    generators = _eliminate_linear(gens.generators)
+    nvars = len(generators[0].variables)
+    base = 1 + MACAULAY_MAX_DEGREE + max(g.degree() for g in generators)
     top = base ** nvars
     variable_keys = [top + base ** i for i in range(nvars)]
 
@@ -516,7 +594,7 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
         return sum(e) * top + sum(a * base ** i for i, a in enumerate(e))
 
     rows = []
-    for g in gens.generators:
+    for g in generators:
         scale = g.primitive_factor()
         row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
         rows.append((min(row)[0] // top, row))
@@ -544,6 +622,4 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
         if previous == corank:
             return corank
         previous = corank
-    raise InfiniteDimensionError(
-        f"Macaulay corank did not stabilize by degree {MACAULAY_MAX_DEGREE}; "
-        "the ideal may not be zero-dimensional")
+    raise InfiniteDimensionError(_UNSTABLE)

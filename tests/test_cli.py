@@ -499,6 +499,21 @@ def test_offsets_count_utf8_bytes(tmp_path, capsys):
         "byte offset 89")
 
 
+def test_offsets_count_crlf_bytes(tmp_path, capsys):
+    # each CRLF line end is two bytes of the file, not one newline
+    job = ('[job]\r\nmode = tjurina\r\nambient = 3\r\n[curve]\r\n'
+           'equations = "z0 - w*z1", "z3^2 - z0*z2"\r\n'
+           '[points]\r\npoint = 0 : 0, 0, 0\r\n').encode()
+    path = tmp_path / "job.ini"
+    path.write_bytes(job)
+    code, out, _ = run_cli(capsys, "tjurina", "--job", str(path), "--quiet")
+    assert code == 1
+    assert job.index(b"w*") == 63
+    assert json.loads(out)["error"] == (
+        "[curve] equations: unknown variable 'w' (byte offset 5) -- file "
+        "byte offset 63")
+
+
 def test_missing_point_exit_2(tmp_path, capsys):
     job = "\n".join(line for line in SCHWARTZ_JOB.splitlines()
                     if not line.startswith("point = 1"))

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from gsvkit.localring import (
     _DEGREE_LIMIT,
     _FIELD,
     _Budget,
+    _eliminate_linear,
     _exponents,
     _guard,
     _key,
@@ -653,6 +655,120 @@ def test_oracle_keys_at_the_edges():
     # ... and one more is past it
     with pytest.raises(InfiniteDimensionError):
         quotient_dim_macaulay(gens("x^24", "y", variables=X2))
+
+
+def counted_inserts(monkeypatch):
+    """The outcomes of every ``_echelon_insert`` call, in order."""
+    filed = []
+    insert = localring._echelon_insert
+
+    def counted(pivots, row):
+        filed.append(insert(pivots, row))
+        return filed[-1]
+
+    monkeypatch.setattr(localring, "_echelon_insert", counted)
+    return filed
+
+
+def eliminated_variables(ideal):
+    return len(ideal.variables) - len(
+        _eliminate_linear(ideal.generators)[0].variables)
+
+
+def test_oracle_on_ci_batch_tjurina_ideal_on_the_full_matrix():
+    # the ideal of test_oracle_on_ci_batch_tjurina_ideal with x1 also in a
+    # higher term of both curve equations, so no variable is eliminated;
+    # integer elimination that scales only part of a row gives 24 here and
+    # a false 36 on the curve
+    ideal = gens("x2^3 + 5*x1^2", "x3^3 - 5*x1 + x1^2", "x4^2 + x1 + x1^2",
+                 "9*x2^2*x3^2", "30*x2^2*x4", "60*x1*x3^2*x4",
+                 "18*x2^2*x3^2*x4", variables=X4)
+    assert eliminated_variables(ideal) == 0
+    assert quotient_dim(ideal) == 28
+    assert quotient_dim_macaulay(ideal) == 28
+    with pytest.raises(InfiniteDimensionError):
+        quotient_dim_macaulay(IdealGens(ideal.generators[:3]))
+
+
+def test_oracle_skips_dependent_rows_on_the_full_matrix(monkeypatch):
+    # x4^2 + 5*x1 + x1^2 keeps x1: all four variables stay, and without
+    # the skip 4,281 rows are eliminated, 2,012 of which reduce to zero
+    ideal = gens("x2^4 + 5*x1^3", "x3^3 - 3*x1^2", "x4^2 + 5*x1 + x1^2",
+                 "60*x2^3*x3^2", "48*x1*x2^3*x4", "90*x1^2*x3^2*x4",
+                 "24*x2^3*x3^2*x4", variables=X4)
+    assert eliminated_variables(ideal) == 0
+    assert quotient_dim(ideal) == 75
+    filed = counted_inserts(monkeypatch)
+    assert quotient_dim_macaulay(ideal) == 75
+    assert filed.count(False) < 100
+    assert len(filed) < 3000
+
+
+def test_oracle_keys_at_the_edges_on_the_full_matrix():
+    # x + x^2 keeps x, so the degree-40 tail reaches the matrix
+    ideal = gens("x + x^2 - y^40", "y^3", variables=X2)
+    assert eliminated_variables(ideal) == 0
+    assert quotient_dim(ideal) == quotient_dim_macaulay(ideal) == 3
+    ideal = gens("x^23", "y + y^2", variables=X2)
+    assert eliminated_variables(ideal) == 0
+    assert quotient_dim_macaulay(ideal) == 23
+    with pytest.raises(InfiniteDimensionError):
+        quotient_dim_macaulay(gens("x^24", "y + y^2", variables=X2))
+
+
+def test_oracle_eliminates_a_cascade(monkeypatch):
+    # the corank-81 Tjurina ideal of a ci-batch cycle: x3^4 + 3*x1 removes
+    # x1, and the matrix in x2, x3, x4 files 1,698 rows (8,968 in all four)
+    ideal = gens("x2^4 + 5*x1^3", "x3^4 + 3*x1", "x4^2 + 2*x1",
+                 "32*x2^3*x3^3", "-24*x2^3*x4", "120*x1^2*x3^3*x4",
+                 "32*x2^3*x3^3*x4", variables=X4)
+    assert eliminated_variables(ideal) == 1
+    assert quotient_dim(ideal) == 81
+    filed = counted_inserts(monkeypatch)
+    assert quotient_dim_macaulay(ideal) == 81
+    assert len(filed) == 1698
+    # x1 -> x3^2, then x2 -> x1*x3 = x3^3: one variable is left
+    ideal = gens("x1 - x3^2", "x2 - x1*x3", "x3^5")
+    assert _eliminate_linear(ideal.generators) == [P("x3^5", ("x3",))]
+    assert quotient_dim(ideal) == quotient_dim_macaulay(ideal) == 5
+
+
+def test_oracle_elimination_that_leaves_no_generator():
+    with pytest.raises(InfiniteDimensionError,
+                       match="did not stabilize by degree 24"):
+        quotient_dim_macaulay(gens("x1 - x2^2", variables=("x1", "x2")))
+    # x1 -> x2^3 makes x2^24 of x1^8, which lies in every m^D the scan reads
+    with pytest.raises(InfiniteDimensionError,
+                       match="did not stabilize by degree 24"):
+        quotient_dim_macaulay(gens("x1 - x2^3", "x1^8",
+                                   variables=("x1", "x2")))
+
+
+def test_oracle_keeps_a_variable_also_in_a_higher_term():
+    ideal = gens("x + x^2 - y^3", "y^4", variables=X2)
+    assert eliminated_variables(ideal) == 0
+    assert quotient_dim_macaulay(ideal) == quotient_dim(ideal) == 4
+
+
+def test_oracle_dense_and_high_substitutions_stay_small():
+    # x1 - (x2 + x3 + x4)^2 stays, since powers of its h would fill the
+    # rows; x1 - x2^2 goes, and the x2^40 it makes of x1^20 is dropped
+    s = P("x2 + x3 + x4", X4)
+    cubes = [P(t, X4) for t in ("x1^20 + x2^3", "x3^3", "x4^3")]
+    dense = IdealGens((P("x1", X4) - s * s, *cubes))
+    high = IdealGens((P("x1 - x2^2", X4), *cubes))
+    assert eliminated_variables(dense) == 0
+    assert max(g.degree() for g in _eliminate_linear(high.generators)) == 3
+    start = time.perf_counter()
+    assert quotient_dim_macaulay(dense) == quotient_dim_macaulay(high) == 27
+    assert time.perf_counter() - start < 1.0
+    assert quotient_dim(dense) == quotient_dim(high) == 27
+
+
+def test_oracle_of_a_unit_ideal_is_zero():
+    # the pass leaves an ideal with a unit alone, and the matrix gives 0
+    assert quotient_dim_macaulay(gens("x1 - x2", "1 + x3")) == 0
+    assert quotient_dim_macaulay(gens("2 - x^2", variables=X1)) == 0
 
 
 PRIME = 2 ** 31 - 1
