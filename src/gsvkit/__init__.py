@@ -28,12 +28,10 @@ from .indices import (
 )
 from .localring import (
     IdealGens,
-    StandardBasis,
     check_membership,
     membership_with_cofactors,
     quotient_dim,
     quotient_dim_macaulay,
-    standard_basis,
 )
 from .poly import Polynomial, jacobian_minors, parse_polynomial
 from .projective import (

@@ -67,8 +67,9 @@ from .projective import (
 
 BIGINT_THRESHOLD = 2 ** 53
 # The symbolic difference-class check over 2m Chern generators grows about
-# 1.3x per ambient dimension: 0.2 s at m = 18, 1.1 s at m = 24, 5.3 s at
-# m = 30 (k = 3, d = 2, 2-vCPU x86 VM).  A higher cap would accept new input.
+# 1.3x per ambient dimension: 0.05 s at m = 18, 0.3 s at m = 24, 1.3 s at
+# m = 30 (run_job, best of three; k = 3, d = 2, 2-vCPU x86 VM).  A higher
+# cap would accept new input.
 CHERN_CHECK_MAX_AMBIENT = 18
 
 
@@ -745,11 +746,15 @@ def main(argv=None) -> int:
         print(f"gsvkit: {exc}", file=sys.stderr)
         return 1
     try:
-        # newline="": a CRLF stays two characters, so offsets stay bytes
-        with open(args.job, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
+        # decoded once from bytes, so every offset is a file byte offset
+        with open(args.job, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         print(f"gsvkit: cannot read job file: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"gsvkit: cannot read job file: not valid UTF-8 at byte "
+              f"offset {exc.start}", file=sys.stderr)
         return 1
     try:
         job = load_job(text)

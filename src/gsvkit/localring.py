@@ -31,14 +31,12 @@ an S-pair of leading coefficients lc_i, lc_j by ``sign(lc_i)*|lc_j|/g`` and
 ``sign(lc_j)*|lc_i|/g``, and each row is divided by the positive gcd of all
 its coefficients.  So every row is a positive multiple of the row the same
 steps give over the rationals with row 0 kept primitive, and dividing by
-the content of row 0 returns exactly those elements, lifts and
-certificates.  Each caller chooses the row width:
+the content of row 0 returns exactly those elements and certificates.
+Each caller chooses the row width:
 
   quotient_dim               bare rows ``[p]``: no bookkeeping at all;
                              the dimension is the staircase count of the
                              leading ideal
-  standard_basis             rows ``[p, lift over the generators]``, so
-                             each basis element comes with its lift
   check_membership           bare rows ``[p]``: a target is a member
                              exactly when its weak normal form is 0
   membership_with_cofactors  rows ``[p, unit, cofactors]``, which certify
@@ -60,7 +58,7 @@ Whenever an element joins the basis, N is recomputed by the same walk that
 counts the staircase.  N must be this exact corner: a looser N from the
 pure powers x_i^a_i alone, 1 + sum(a_i - 1), is valid too, but the longer
 rows it keeps can make the completion thousands of times slower.  Tracked
-rows are never truncated: their lifts, units and cofactors must re-expand
+rows are never truncated: their units and cofactors must re-expand
 exactly, and a dropped term of m^N would break that identity.  Nor are the
 bare rows of ``check_membership``, whose normal forms are taken in full.
 
@@ -119,16 +117,6 @@ class IdealGens:
     @property
     def variables(self):
         return self.generators[0].variables
-
-
-@dataclass(frozen=True)
-class StandardBasis:
-    """Completed basis; ``lifts[k]`` writes ``elements[k]`` over the input
-    generators as an exact polynomial combination."""
-
-    elements: tuple[Polynomial, ...]
-    leading_monomials: tuple[Exponents, ...]
-    lifts: tuple[tuple[Polynomial, ...], ...]
 
 
 class _Budget:
@@ -284,8 +272,8 @@ def _mora(row, reducers, budget, nvars, cut=None):
 
 
 def _complete(rows, nvars, truncate=False):
-    """Standard basis rows of the ideal of the rows' first entries, and the
-    exponents of their leading monomials.
+    """Standard basis of the ideal of the rows' first entries, as
+    ``_reducer`` entries, and the exponents of their leading monomials.
 
     With ``truncate`` (bare rows only) every term at or above the highest
     corner is dropped once there is one: the rows then have the leading
@@ -328,21 +316,7 @@ def _complete(rows, nvars, truncate=False):
         leads.append(_exponents(reducers[-1][1], nvars))
         pairs.extend((k, len(reducers) - 1) for k in range(len(reducers) - 1))
         grew = truncate
-    return [entry[0] for entry in reducers], leads
-
-
-def standard_basis(gens: IdealGens) -> StandardBasis:
-    """Buchberger-style completion with Mora normal form and lift tracking."""
-    variables = gens.variables
-    n = len(gens.generators)
-    zero = Polynomial.zero(variables)
-    one = Polynomial.constant(variables, 1)
-    basis, leads = _complete(
-        [_pack((g,) + tuple(one if k == j else zero for k in range(n)))
-         for j, g in enumerate(gens.generators)], len(variables))
-    rows = [_unpack(row, variables, gcd(*row[0].values())) for row in basis]
-    return StandardBasis(tuple(row[0] for row in rows), tuple(leads),
-                         tuple(row[1:] for row in rows))
+    return reducers, leads
 
 
 def _staircase(leads: list[Exponents], nvars: int):
@@ -402,9 +376,9 @@ def _reduce_targets(targets, gens: IdealGens, wide: bool):
         start = (one,) + (zero,) * n
     else:
         tails, start = [()] * n, ()
-    basis, _ = _complete([_pack((g,) + tail)
-                          for g, tail in zip(gens.generators, tails)], nvars)
-    reducers = [_reducer(row, _FIELD * nvars) for row in basis]
+    reducers, _ = _complete([_pack((g,) + tail)
+                             for g, tail in zip(gens.generators, tails)],
+                            nvars)
     budget = _Budget(DEFAULT_STEP_LIMIT)
     rems = []
     for index, p in enumerate(targets):

@@ -575,6 +575,17 @@ def test_missing_file_exit_1(capsys):
     assert "cannot read" in err
 
 
+def test_job_file_not_utf8_exit_1(tmp_path, capsys):
+    # the offset counts bytes: the e-acute before the bad byte is two
+    path = tmp_path / "job.ini"
+    path.write_bytes(b"# caf\xc3\xa9 \xff\xfe\n" + BOUNDS_JOB.encode())
+    code, out, err = run_cli(capsys, "bounds", "--job", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("gsvkit: cannot read job file: not valid UTF-8 at byte "
+                   "offset 8\n")
+
+
 def test_bad_argv_exit_1(capsys):
     code, _, err = run_cli(capsys, "not-a-mode", "--job", "x")
     assert code == 1

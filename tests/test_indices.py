@@ -299,8 +299,8 @@ def test_report_is_checked_when_built_and_frozen():
 
 
 def test_local_gsv_builds_no_tracked_basis(monkeypatch):
-    # tangency is decided on bare rows: no job path builds a tracked
-    # standard basis or a certificate
+    # tangency is decided on bare rows: the per-point path completes only
+    # rows of width 1 and builds no certificate
     line = germ("x2", "x3")
     skew = field("x1", "x2", "x1 + x3")
     with pytest.raises(NotInvariantError) as certified:
@@ -311,13 +311,21 @@ def test_local_gsv_builds_no_tracked_basis(monkeypatch):
 
     for module in (localring, indices):
         monkeypatch.setattr(module, "membership_with_cofactors", refuse)
-    monkeypatch.setattr(localring, "standard_basis", refuse)
+    widths = []
+    original = localring._complete
+
+    def spy(rows, nvars, truncate=False):
+        widths.extend(len(row) for row in rows)
+        return original(rows, nvars, truncate)
+
+    monkeypatch.setattr(localring, "_complete", spy)
     g, v = germ(*CUSP_GERM), field(*CUSP_FIELD)
     assert local_gsv_curve(g, v).tau == 2
     assert local_indices(g, v).milnor == 2
     with pytest.raises(NotInvariantError) as bare:
         local_gsv_curve(line, skew)
     assert bare.value.row == certified.value.row == 1
+    assert widths and set(widths) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from gsvkit.localring import (
     _DEGREE_LIMIT,
     _FIELD,
     _Budget,
+    _complete,
     _eliminate_linear,
     _exponents,
     _guard,
@@ -34,7 +36,6 @@ from gsvkit.localring import (
     membership_with_cofactors,
     quotient_dim,
     quotient_dim_macaulay,
-    standard_basis,
 )
 from gsvkit.poly import Polynomial, parse_polynomial
 
@@ -218,60 +219,62 @@ def test_mora_step_cap():
 # ---------------------------------------------------------------------------
 # standard bases
 
+def completion(ideal, tracked=False):
+    """(elements, leading monomials) of the untruncated completion of the
+    generators' rows, bare ``[g_j]`` or tracked ``[g_j, e_j]``, each element
+    divided by its content."""
+    variables = ideal.variables
+    n = len(ideal.generators)
+    tails = [tuple(Polynomial.constant(variables, int(k == j))
+                   for k in range(n)) if tracked else ()
+             for j in range(n)]
+    entries, leads = _complete(
+        [_pack((g,) + tail) for g, tail in zip(ideal.generators, tails)],
+        len(variables))
+    elements = tuple(_unpack(entry[0][:1], variables,
+                             gcd(*entry[0][0].values()))[0]
+                     for entry in entries)
+    return elements, tuple(leads)
+
+
 def test_standard_basis_maximal_ideal():
-    sb = standard_basis(gens("x1", "x2", "x3"))
-    assert set(sb.leading_monomials) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    _, leads = completion(gens("x1", "x2", "x3"))
+    assert set(leads) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_standard_basis_worked_example_leading_ideal():
-    sb = standard_basis(gens("6*x1", "2*x2", "3*x3", "x1 - x2^3",
-                             "x3^2 - x1"))
-    assert box_staircase(sb.leading_monomials, 3) == [(0, 0, 0)]
-    assert _staircase(sb.leading_monomials, 3) == (1, 1)
+    _, leads = completion(gens("6*x1", "2*x2", "3*x3", "x1 - x2^3",
+                               "x3^2 - x1"))
+    assert box_staircase(leads, 3) == [(0, 0, 0)]
+    assert _staircase(leads, 3) == (1, 1)
 
 
 def test_standard_basis_local_leading_term():
     # x1 - x2^3 leads with x1 locally, so x1 joins the staircase walls
-    sb = standard_basis(gens("x2^2", "x3", "x1 - x2^3"))
-    assert box_staircase(sb.leading_monomials, 3) == [(0, 0, 0), (0, 1, 0)]
-    assert _staircase(sb.leading_monomials, 3) == (2, 2)
-
-
-def test_standard_basis_lift_identity():
-    g = gens("x1 - x2^3", "x3^2 - x1", "x2*x3")
-    sb = standard_basis(g)
-    for element, lift in zip(sb.elements, sb.lifts):
-        acc = element
-        for cof, generator in zip(lift, g.generators):
-            acc = acc - cof * generator
-        assert acc.is_zero()
+    _, leads = completion(gens("x2^2", "x3", "x1 - x2^3"))
+    assert box_staircase(leads, 3) == [(0, 0, 0), (0, 1, 0)]
+    assert _staircase(leads, 3) == (2, 2)
 
 
 def test_standard_basis_exact_rational_rows():
     """The basis of the rational completion with each element primitive:
-    signs, leading monomials and fractional lifts are pinned, so a step
-    that scales a row by a negative or non-integer factor shows."""
-    sb = standard_basis(gens("4*x1 - 2*x2^3", "x3^2 - 3*x1",
-                             "-x2*x3 + 5*x1^2"))
-    assert sb.elements == tuple(map(P, [
+    signs and leading monomials are pinned, so a step that scales a row by
+    a negative factor shows."""
+    elements, leads = completion(gens("4*x1 - 2*x2^3", "x3^2 - 3*x1",
+                                      "-x2*x3 + 5*x1^2"))
+    assert elements == tuple(map(P, [
         "-x2^3 + 2*x1", "x3^2 - 3*x1", "5*x1^2 - x2*x3",
         "-3*x2^3 + 2*x3^2", "-5*x1*x2^3 + 2*x2*x3",
         "5*x1*x2^3*x3 - 3*x2^4"]))
-    assert sb.leading_monomials == ((1, 0, 0), (1, 0, 0), (2, 0, 0),
-                                    (0, 0, 2), (0, 1, 1), (0, 4, 0))
-    assert sb.lifts == tuple(tuple(map(P, lift)) for lift in [
-        ("1/2", "0", "0"), ("0", "1", "0"), ("0", "0", "1"),
-        ("3/2", "2", "0"), ("5/2*x1", "0", "-2"),
-        ("-5/2*x1*x3 + 3/2*x2", "2*x2", "2*x3")])
+    assert leads == ((1, 0, 0), (1, 0, 0), (2, 0, 0),
+                     (0, 0, 2), (0, 1, 1), (0, 4, 0))
     # Mora steps and an S-pair against negative leading coefficients
-    sb = standard_basis(gens("x1*x2^3 - 3*x1^3*x2^3 - 2*x3^2",
-                             "-3*x1*x2*x3 - 3*x1*x2*x3^2"))
-    assert sb.elements == tuple(map(P, [
+    elements, leads = completion(gens("x1*x2^3 - 3*x1^3*x2^3 - 2*x3^2",
+                                      "-3*x1*x2*x3 - 3*x1*x2*x3^2"))
+    assert elements == tuple(map(P, [
         "-3*x1^3*x2^3 + x1*x2^3 - 2*x3^2", "-x1*x2*x3^2 - x1*x2*x3",
         "3*x1^4*x2^4 - x1^2*x2^4 + 2*x1*x2*x3^4"]))
-    assert sb.leading_monomials == ((0, 0, 2), (1, 1, 1), (2, 4, 0))
-    assert sb.lifts == tuple(tuple(map(P, lift)) for lift in [
-        ("1", "0"), ("0", "1/3"), ("-x1*x2", "-2/3*x3^2 + 2/3*x3")])
+    assert leads == ((0, 0, 2), (1, 1, 1), (2, 4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +384,21 @@ def test_staircase_count_and_corner_match_a_box_scan():
 
 
 def test_quotient_dim_builds_no_lifts(monkeypatch):
-    # the dimension path completes bare rows; it never asks for the lifts
-    # that standard_basis tracks
-    def refuse(*args, **kwargs):
-        raise AssertionError("quotient_dim must not build a tracked basis")
+    # the dimension path completes bare rows, truncated at the highest
+    # corner, once per ideal
+    calls = []
+    original = localring._complete
 
-    monkeypatch.setattr(localring, "standard_basis", refuse)
+    def spy(rows, nvars, truncate=False):
+        calls.append(([len(row) for row in rows], truncate))
+        return original(rows, nvars, truncate)
+
+    monkeypatch.setattr(localring, "_complete", spy)
     assert quotient_dim(gens("x^2", "y^3", variables=X2)) == 6
     assert quotient_dim(gens("x1 - x2^3", "x3^2 - x1", "x2*x3")) == 5
     with pytest.raises(InfiniteDimensionError):
         quotient_dim(gens("x", variables=X2))
+    assert calls == [([1, 1], True), ([1, 1, 1], True), ([1], True)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,43 +561,31 @@ def test_oracle_agrees_on_randomized_ideals():
         staircase = quotient_dim(ideal)
         assert staircase <= 30
         assert quotient_dim_macaulay(ideal) == staircase
-        # tracked rows (standard_basis) and bare rows (quotient_dim) reach
-        # the same leading ideal
-        assert _staircase(standard_basis(ideal).leading_monomials,
-                          len(ideal.variables))[0] == staircase
+        # tracked rows and the untruncated bare rows reach the same leading
+        # ideal, and the same elements once each is divided by its content
+        tracked = completion(ideal, tracked=True)
+        assert _staircase(tracked[1], len(ideal.variables))[0] == staircase
+        assert completion(ideal) == tracked
     # the corner truncation of the bare rows engages from the first pair
-    # and changes no dimension; the tracked rows stay exact
+    # and changes no dimension against the untruncated tracked rows
     for _ in range(30):
         ideal = random_corner_ideal(rng)
         nvars = len(ideal.variables)
         assert _staircase([lead(g)[0] for g in ideal.generators],
                           nvars) is not None
-        sb = standard_basis(ideal)
-        assert quotient_dim(ideal) == _staircase(
-            sb.leading_monomials, nvars)[0]
-        for element, lift in zip(sb.elements, sb.lifts):
-            acc = element
-            for c, generator in zip(lift, ideal.generators):
-                acc = acc - c * generator
-            assert acc.is_zero()
+        _, leads = completion(ideal, tracked=True)
+        assert quotient_dim(ideal) == _staircase(leads, nvars)[0]
 
 
-def test_seeded_lifts_and_certificates_reexpand():
-    """Rational generators and members with unit factors: every lift of
-    the standard basis re-expands, and every certificate has unit 1 at the
-    origin and re-expands."""
+def test_seeded_certificates_reexpand():
+    """Rational generators and members with unit factors: every
+    certificate has unit 1 at the origin and re-expands."""
     rng = random.Random(13)
     for _ in range(20):
         ideal = IdealGens(tuple(
             g.scaled(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
             for g in random_zero_dim_ideal(rng).generators))
         variables = ideal.variables
-        sb = standard_basis(ideal)
-        for element, lift in zip(sb.elements, sb.lifts):
-            acc = element
-            for c, generator in zip(lift, ideal.generators):
-                acc = acc - c * generator
-            assert acc.is_zero()
         targets = []
         for _ in range(3):
             target = Polynomial.zero(variables)
