@@ -26,9 +26,8 @@ total-index integrand of a split bundle exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 
 class GradedRing:
@@ -136,6 +135,8 @@ class GradedElement:
 
     def _coerce(self, other):
         """``other`` as an element of this ring, or None for a foreign type."""
+        if type(other) is GradedElement and other.ring is self.ring:
+            return other
         if isinstance(other, int):
             return GradedElement._of(self.ring, {0: other} if other else {})
         if not isinstance(other, GradedElement):
@@ -183,10 +184,16 @@ class GradedElement:
         if other is None:
             return NotImplemented
         limit = self.ring._limit
+        small, big = sorted((self.terms, other.terms), key=len)
+        if len(small) == 1:  # one shift of every key: nothing can cancel
+            (k1, c1), = small.items()
+            bound = limit - k1
+            return GradedElement._of(self.ring, {
+                k1 + k: c1 * c for k, c in big.items() if k < bound})
         terms: dict[int, int] = {}
         get = terms.get
-        right = other.terms.items()
-        for k1, c1 in self.terms.items():
+        right = big.items()
+        for k1, c1 in small.items():
             for k2, c2 in right:
                 key = k1 + k2
                 if key < limit:
@@ -202,10 +209,7 @@ class GradedElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _powers(self, exponent)[-1]
 
     def __eq__(self, other):
         try:
@@ -259,21 +263,27 @@ class ChernVector:
                                         (self.ring.one(), *self.classes)))
 
 
-def _signed_partitions(j: int, largest: int | None = None):
-    """(weight, parts) for each partition of j, parts largest first and at
-    most ``largest`` (default j).  The weight (-1)^i i!/prod_k m_k! (i parts,
-    m_k repeats of part k) is the signed count of the multi-indices
-    |L_i| = j that reorder the parts, which give one product in a
-    commutative ring; the empty partition of 0 has weight 1."""
-    if j == 0:
-        yield 1, ()
-    for part in range(j if largest is None else min(j, largest), 0, -1):
-        for repeats in range(1, j // part + 1):
-            # the repeats take C(i, repeats) of the i slots of a multi-index
-            for weight, rest in _signed_partitions(j - repeats * part,
-                                                   part - 1):
-                yield ((-1) ** repeats * comb(repeats + len(rest), repeats)
-                       * weight, (part,) * repeats + rest)
+def signed_partition_table(top: int) -> list[list[tuple[int, tuple]]]:
+    """Row j (j = 0..top) lists (weight, parts) for each partition of j,
+    parts largest first.  The weight (-1)^i i!/prod_k m_k! (i parts, m_k
+    repeats of part k) is the signed count of the multi-indices |L_i| = j
+    that reorder the parts, which give one product in a commutative ring;
+    the empty partition of 0 has weight 1.  Built bottom-up over the
+    largest part allowed: the partitions of j with parts at most p are
+    those whose largest part is p, then those with parts at most p - 1."""
+    rows = [[(1, ())]] + [[] for _ in range(top)]  # parts at most 0
+    for part in range(1, top + 1):
+        below = rows[:]  # parts at most part - 1
+        for j in range(part, top + 1):
+            row = []
+            for repeats in range(1, j // part + 1):
+                # the repeats take C(i, repeats) of a multi-index's i slots
+                sign, head = (-1) ** repeats, (part,) * repeats
+                row += [(sign * comb(repeats + len(rest), repeats) * weight,
+                         head + rest)
+                        for weight, rest in below[j - repeats * part]]
+            rows[j] = row + below[j]
+    return rows
 
 
 def inverse_total_class(c: ChernVector) -> GradedElement:
@@ -305,8 +315,8 @@ def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
     return tuple(deltas)
 
 
-def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
-                               ) -> tuple[GradedElement, ...]:
+def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector,
+                               partitions=None) -> tuple[GradedElement, ...]:
     """Classes d_0..d_T of TX - N (T the truncation) by the closed
     multi-index expansion
 
@@ -316,14 +326,18 @@ def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
     with the common factor c_{t-j}(TX) pulled out: d_t = sum_{j=0}^{t}
     c_{t-j}(TX) e_j, where e_0 = 1 and
     e_j = sum_{i=1}^{j} (-1)^i sum_{|L_i| = j} c_{l_1}(N) ... c_{l_i}(N),
-    summed over the partitions of j by their signed counts.
+    summed over the partitions of j by their signed counts, read from
+    ``partitions`` (a ``signed_partition_table`` reaching at least the
+    truncation), built here when it is None.
     """
     ring = c_tx.ring
+    if partitions is None:
+        partitions = signed_partition_table(ring.truncation)
     products = {(): ring.one()}  # parts -> c_{l_1}(N) ... c_{l_i}(N)
     e = []
     for j in range(ring.truncation + 1):
         pairs = []
-        for weight, parts in _signed_partitions(j):
+        for weight, parts in partitions[j]:
             if parts:  # the tail parts[1:] partitions a smaller j: met before
                 products[parts] = c_n.class_at(parts[0]) * products[parts[1:]]
             pairs.append((weight, products[parts]))
@@ -337,41 +351,55 @@ def chern_difference_inversion(c_tx: ChernVector, c_n: ChernVector
                                ) -> tuple[GradedElement, ...]:
     """Classes d_0..d_T of TX - N (T the truncation) as the homogeneous
     parts of c(TX) * c(N)^{-1}: the power-series route."""
-    product = c_tx.total_class() * inverse_total_class(c_n)
-    return tuple(product.homogeneous_part(t)
-                 for t in range(c_tx.ring.truncation + 1))
+    ring = c_tx.ring
+    parts: list[dict[int, int]] = [{} for _ in range(ring.truncation + 1)]
+    for key, coeff in (c_tx.total_class()
+                       * inverse_total_class(c_n)).terms.items():
+        parts[key >> ring.shift][key] = coeff
+    return tuple(GradedElement._of(ring, part) for part in parts)
 
 
 def elementary_symmetric(l: int, ks) -> int:
     """e_l(k_1, ..., k_r); e_0 = 1 and e_l = 0 above r (empty sum)."""
-    ks = list(ks)
     if l < 0:
         raise ValueError("l must be non-negative")
-    if l == 0:
-        return 1
-    if l > len(ks):
-        return 0
-    return sum(
-        prod(combo) for combo in itertools.combinations(ks, l))
+    return _elementary_symmetrics(ks, l)[l]
+
+
+def _elementary_symmetrics(ks, top: int) -> list[int]:
+    """[e_0(k), ..., e_top(k)], the coefficients of prod_i (1 + k_i t) up
+    to t^top, multiplied out one factor at a time."""
+    e = [1] + [0] * top
+    for i, k in enumerate(ks, start=1):
+        for l in range(min(i, top), 0, -1):
+            e[l] += k * e[l - 1]
+    return e
+
+
+def _powers(x: GradedElement, top: int) -> list[GradedElement]:
+    """[x^0, x^1, ..., x^top], one multiplication each."""
+    powers = [x.ring.one()]
+    for _ in range(top):
+        powers.append(powers[-1] * x)
+    return powers
 
 
 def projective_tangent_chern(ring: GradedRing, m: int) -> ChernVector:
     """Chern vector of the tangent bundle of P^m: c_t = C(m+1, t) h^t."""
-    h = ring.gen("h")
-    return ChernVector(ring, [comb(m + 1, t) * h ** t
-                              for t in range(1, m + 1)])
+    h = _powers(ring.gen("h"), m)
+    return ChernVector(ring, [comb(m + 1, t) * h[t] for t in range(1, m + 1)])
 
 
 def split_bundle_chern(ring: GradedRing, ks) -> ChernVector:
     """Chern vector of a direct sum of line bundles of degrees ks on P^m:
     c_l = e_l(k_1..k_r) h^l."""
     ks = list(ks)
-    h = ring.gen("h")
-    return ChernVector(ring, [elementary_symmetric(l, ks) * h ** l
-                              for l in range(1, len(ks) + 1)])
+    e = _elementary_symmetrics(ks, len(ks))
+    h = _powers(ring.gen("h"), len(ks))
+    return ChernVector(ring, [e[l] * h[l] for l in range(1, len(ks) + 1)])
 
 
-def total_gsv_integral_projective(m: int, ks, d: int) -> int:
+def total_gsv_integral_projective(m: int, ks, d: int, partitions=None) -> int:
     """Total GSV index on P^m of a degree-d foliation along the complete
     intersection cut out by hypersurfaces of degrees ks, evaluated from the
     characteristic-class integrand.
@@ -397,8 +425,8 @@ def total_gsv_integral_projective(m: int, ks, d: int) -> int:
         raise ValueError("foliation degree must be non-negative")
     ring = GradedRing({"h": 1}, m - r)
     diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
-                                       split_bundle_chern(ring, ks))
-    foliation_class = (d - 1) * ring.gen("h")
-    acc = _combination(ring, ((1, diff * foliation_class ** (m - r - t))
+                                       split_bundle_chern(ring, ks), partitions)
+    powers = _powers((d - 1) * ring.gen("h"), m - r)
+    acc = _combination(ring, ((1, diff * powers[m - r - t])
                               for t, diff in enumerate(diffs)))
     return elementary_symmetric(r, ks) * acc.coefficient(("h",) * (m - r))

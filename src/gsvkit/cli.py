@@ -16,6 +16,7 @@ mathematical inconsistency (any anomaly, e.g. a total-index mismatch).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,6 +30,7 @@ from .cherncalc import (
     chern_difference_expansion,
     chern_difference_inversion,
     chern_difference_recursion,
+    signed_partition_table,
     total_gsv_integral_projective,
 )
 from .errors import (
@@ -67,9 +69,9 @@ from .projective import (
 
 BIGINT_THRESHOLD = 2 ** 53
 # The symbolic difference-class check over 2m Chern generators grows about
-# 1.3x per ambient dimension: 0.05 s at m = 18, 0.3 s at m = 24, 1.3 s at
-# m = 30 (run_job, best of three; k = 3, d = 2, 2-vCPU x86 VM).  A higher
-# cap would accept new input.
+# 1.3x per ambient dimension: 0.03 s at m = 18, 0.17 s at m = 24, 0.9 s
+# and 82 MB at m = 30 (run_job, best of three; k = 3, d = 2, 2-vCPU x86
+# VM).  A higher cap would accept new input.
 CHERN_CHECK_MAX_AMBIENT = 18
 
 
@@ -613,14 +615,15 @@ def _run_chern_check(job: JobSpec, oracle: bool):
     ring = GradedRing(names, m)
     c_tx = ChernVector(ring, [ring.gen(f"a{t}") for t in range(1, m + 1)])
     c_n = ChernVector(ring, [ring.gen(f"b{t}") for t in range(1, m + 1)])
+    partitions = signed_partition_table(m)  # shared by three users below
     triple = (chern_difference_recursion(c_tx, c_n)
-              == chern_difference_expansion(c_tx, c_n)
+              == chern_difference_expansion(c_tx, c_n, partitions)
               == chern_difference_inversion(c_tx, c_n))
     if not triple:
         anomalies.append("difference-class identities disagree symbolically")
     try:
-        integral = total_gsv_integral_projective(m, ks, d)
-        closed = closed_form_gsv(m, ks, d)
+        integral = total_gsv_integral_projective(m, ks, d, partitions)
+        closed = closed_form_gsv(m, ks, d, partitions)
     except ValueError as exc:
         raise JobFileError(f"{ks_field}: {exc}") from None
     if integral != closed:
@@ -731,7 +734,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise JobFileError(message)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _argument_parser() -> _ArgumentParser:
+    """The parser, built on the first call; parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="gsvkit", description=__doc__)
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--job", required=True, help="path to the job file")
@@ -740,8 +745,12 @@ def main(argv=None) -> int:
                              "Macaulay-matrix oracle and assert agreement")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the human-readable table on stderr")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _argument_parser().parse_args(argv)
     except JobFileError as exc:
         print(f"gsvkit: {exc}", file=sys.stderr)
         return 1

@@ -485,12 +485,13 @@ class _Parser:
         if kind == "name":
             if text not in self.index:
                 raise UnknownVariableError(text, offset)
-            var = Polynomial.variable(self.variables, self.index[text])
+            exps = [0] * len(self.variables)
+            exps[self.index[text]] = 1
             if self.peek()[0] == "^":
                 self.advance()
                 exp_tok = self.expect("int", "an unsigned integer exponent")
-                return var ** int(exp_tok[1])
-            return var
+                exps[self.index[text]] = int(exp_tok[1])
+            return Polynomial._raw(self.variables, {tuple(exps): Fraction(1)})
         if kind == _END:
             raise PolynomialSyntaxError("unexpected end of input", offset)
         raise PolynomialSyntaxError(f"unexpected token {text!r}", offset)

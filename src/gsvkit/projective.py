@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .cherncalc import _signed_partitions, elementary_symmetric
+from .cherncalc import _elementary_symmetrics, signed_partition_table
 from .errors import DuplicatePointError, GsvkitError, PointNotOnCurveError
 from .indices import (
     CurveGerm,
@@ -163,7 +163,7 @@ def dehomogenize_foliation(fol: ProjectiveFoliation,
 # ---------------------------------------------------------------------------
 # closed forms and inequality reports
 
-def closed_form_gsv(m: int, ks, d: int) -> int:
+def closed_form_gsv(m: int, ks, d: int, partitions=None) -> int:
     """Total GSV index by the combinatorial closed form:
 
     prod(k) * sum_{t=0}^{m-r} [ C(m+1, t)
@@ -173,7 +173,9 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
     The inner sum E_j does not depend on t; it is summed once per j over
     the partitions of j by their signed counts, and the bracket becomes
     sum_{j=0}^{t} C(m+1, t-j) E_j with E_0 = 1.
-    For r = m-1 this collapses to prod(k) * (d + m - sum(k)).
+    For r = m-1 this collapses to prod(k) * (d + m - sum(k)).  The
+    partitions are read from ``partitions`` (a ``signed_partition_table``
+    reaching at least m-r), built here when it is None.
     """
     ks = list(ks)
     r = len(ks)
@@ -184,10 +186,12 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
     if d < 0:
         raise ValueError("foliation degree must be non-negative")
     top = m - r
-    e = [elementary_symmetric(l, ks) for l in range(top + 1)]
+    if partitions is None:
+        partitions = signed_partition_table(top)
+    e = _elementary_symmetrics(ks, top)
     big_e = [0] * (top + 1)
     for j in range(top + 1):
-        for weight, parts in _signed_partitions(j):
+        for weight, parts in partitions[j]:
             big_e[j] += weight * prod([e[l] for l in parts])
     total = sum(comb(m + 1, t - j) * big_e[j] * (d - 1) ** (top - t)
                 for t in range(top + 1) for j in range(t + 1))

@@ -11,12 +11,12 @@ from gsvkit.cherncalc import (
     ChernVector,
     GradedElement,
     GradedRing,
-    _signed_partitions,
     chern_difference_expansion,
     chern_difference_inversion,
     chern_difference_recursion,
     elementary_symmetric,
     inverse_total_class,
+    signed_partition_table,
     total_gsv_integral_projective,
 )
 from gsvkit.projective import closed_form_gsv
@@ -39,6 +39,7 @@ def abstract_pair(m, rank_tx=None, rank_n=None):
 # signed partitions
 
 def test_signed_partitions_group_brute_force_multi_indices():
+    table = signed_partition_table(10)
     for j in range(1, 11):
         signed_sizes = Counter()
         for i in range(1, j + 1):
@@ -46,15 +47,46 @@ def test_signed_partitions_group_brute_force_multi_indices():
             for parts in itertools.product(range(1, j - i + 2), repeat=i):
                 if sum(parts) == j:
                     signed_sizes[tuple(sorted(parts, reverse=True))] += (-1) ** i
-        got = list(_signed_partitions(j))
+        got = table[j]
         assert len({parts for _, parts in got}) == len(got)
         assert {parts: weight for weight, parts in got} == signed_sizes
 
 
+def reference_signed_partitions(j, largest=None):
+    """The recursive generator the table replaced, kept as its reference:
+    (weight, parts) per partition of j, parts largest first and at most
+    ``largest``."""
+    if j == 0:
+        yield 1, ()
+    for part in range(j if largest is None else min(j, largest), 0, -1):
+        for repeats in range(1, j // part + 1):
+            for weight, rest in reference_signed_partitions(
+                    j - repeats * part, part - 1):
+                yield ((-1) ** repeats * comb(repeats + len(rest), repeats)
+                       * weight, (part,) * repeats + rest)
+
+
+def test_signed_partition_table_matches_the_recursive_generator():
+    assert signed_partition_table(18) \
+        == [list(reference_signed_partitions(j)) for j in range(19)]
+    for top in range(5):
+        assert signed_partition_table(top) == signed_partition_table(18)[
+            :top + 1]
+
+
+def test_signed_partition_weights_sum_like_signed_compositions():
+    # sum over all compositions of j of (-1)^i is the t^j coefficient of
+    # 1/(1 + t/(1 - t)) = 1 - t
+    table = signed_partition_table(18)
+    assert [sum(weight for weight, _ in row) for row in table] \
+        == [1, -1] + [0] * 17
+
+
 def test_signed_partition_weights_count_the_multi_indices():
-    assert list(_signed_partitions(0)) == [(1, ())]
+    table = signed_partition_table(18)
+    assert table[0] == [(1, ())]
     for j in range(1, 19):
-        got = list(_signed_partitions(j))
+        got = table[j]
         assert sum(abs(weight) for weight, _ in got) == 2 ** (j - 1)
         for i in range(1, j + 1):
             assert sum(weight for weight, parts in got if len(parts) == i) \
@@ -62,8 +94,10 @@ def test_signed_partition_weights_count_the_multi_indices():
 
 
 def test_partition_counts():
-    assert sum(1 for _ in _signed_partitions(13)) == 101
-    assert sum(1 for _ in _signed_partitions(18)) == 385
+    table = signed_partition_table(18)
+    assert len(table) == 19
+    assert len(table[13]) == 101
+    assert len(table[18]) == 385
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +479,21 @@ def test_elementary_symmetric_bounds():
     assert elementary_symmetric(3, [4, 4]) == 0
     with pytest.raises(ValueError):
         elementary_symmetric(-1, [1])
+
+
+def test_elementary_symmetric_matches_subset_sums():
+    rng = random.Random(26)
+    for r in range(13):
+        for _ in range(4):
+            ks = [rng.randint(-5, 9) for _ in range(r)]
+            for l in range(r + 3):
+                want = sum(prod(c) for c in itertools.combinations(ks, l))
+                assert elementary_symmetric(l, ks) == want, (l, ks)
+                assert elementary_symmetric(l, iter(ks)) == want
+            assert elementary_symmetric(0, ks) == 1
+            assert elementary_symmetric(r + 1, ks) == 0
+            with pytest.raises(ValueError):
+                elementary_symmetric(-1, ks)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from gsvkit import cli, indices
+from gsvkit import cherncalc, cli, indices, projective
 from gsvkit.cli import load_job, main, render_report, run_job
 from gsvkit.localring import MACAULAY_MAX_DEGREE
 
@@ -289,18 +292,28 @@ def test_chern_check_calls_each_route_once(tmp_path, capsys, monkeypatch):
                  "chern_difference_inversion"):
         route = getattr(cli, name)
 
-        def counted(c_tx, c_n, name=name, route=route):
+        def counted(*args, name=name, route=route):
             calls.append(name)
-            return route(c_tx, c_n)
+            return route(*args)
 
         monkeypatch.setattr(cli, name, counted)
-    code, out, _ = run_cli(capsys, "chern-check", "--job",
-                           write_job(tmp_path, CHERN_JOB), "--quiet")
-    assert code == 0
-    assert json.loads(out)["results"]["triple_agreement"] is True
-    assert sorted(calls) == ["chern_difference_expansion",
-                             "chern_difference_inversion",
-                             "chern_difference_recursion"]
+    # every module that can build the partition table, under one counter
+    build = cherncalc.signed_partition_table
+
+    def counted_table(*args):
+        calls.append("signed_partition_table")
+        return build(*args)
+
+    for module in (cli, cherncalc, projective):
+        monkeypatch.setattr(module, "signed_partition_table", counted_table)
+    path = write_job(tmp_path, CHERN_JOB)
+    for jobs in (1, 2):
+        code, out, _ = run_cli(capsys, "chern-check", "--job", path, "--quiet")
+        assert code == 0
+        assert json.loads(out)["results"]["triple_agreement"] is True
+        assert sorted(calls) == sorted(jobs * [
+            "chern_difference_expansion", "chern_difference_inversion",
+            "chern_difference_recursion", "signed_partition_table"])
 
 
 def test_chern_check_route_disagreement_exit_2(tmp_path, capsys,
@@ -589,6 +602,36 @@ def test_job_file_not_utf8_exit_1(tmp_path, capsys):
 def test_bad_argv_exit_1(capsys):
     code, _, err = run_cli(capsys, "not-a-mode", "--job", "x")
     assert code == 1
+
+
+def test_shared_parser_carries_no_state(tmp_path, capsys):
+    good = ["bounds", "--job", write_job(tmp_path, BOUNDS_JOB), "--quiet"]
+    bads = (["bounds", "--oracle"], ["not-a-mode", "--job", "x"],
+            ["bounds", "--job", "x", "--fast"], [])
+
+    def call(argv, fresh):
+        if fresh:
+            cli._argument_parser.cache_clear()
+        code, out, err = run_cli(capsys, *argv)
+        return code, normalize(out), err
+
+    for bad in bads:
+        for first, second in ((bad, good), (good, bad)):
+            want = [call(first, True), call(second, True)]
+            cli._argument_parser.cache_clear()
+            assert [call(first, False), call(second, False)] == want
+    assert call(good, False)[0] == 0
+    assert cli._argument_parser() is cli._argument_parser()
+
+
+def test_import_builds_no_parser():
+    probe = ("import gsvkit.cli as c; "
+             "print(c._argument_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 def test_point_off_curve_named_field(tmp_path, capsys):

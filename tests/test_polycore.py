@@ -89,6 +89,31 @@ def test_parse_parenthesized():
     assert p == parse_polynomial("x1^2 - x2^2", X2)
 
 
+def test_parse_power_is_one_monomial():
+    for index, name in enumerate(Z4):
+        variable = Polynomial.variable(Z4, index)
+        for k in range(13):
+            got = parse_polynomial(f"{name}^{k}", Z4)
+            assert got == variable ** k
+            assert got.terms == (variable ** k).terms
+            assert all(type(c) is Fraction for c in got.terms.values())
+    assert parse_polynomial("z0^0", Z4) == Polynomial.constant(Z4, 1)
+    assert parse_polynomial("2*z1^3*z1^0 - z1^3", Z4) \
+        == Polynomial.variable(Z4, 1) ** 3
+
+
+def test_parse_power_error_offsets():
+    for text, offset, message in (
+            ("x1^", 3, "expected an unsigned integer exponent"),
+            ("x1^-1", 3, "expected an unsigned integer exponent"),
+            ("x1^1.5", 4, "non-integer literal: decimal point not allowed"),
+            ("x2 + x1 ^ (2)", 10, "expected an unsigned integer exponent")):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(text, X3)
+        assert exc.value.offset == offset, text
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+
+
 # ---------------------------------------------------------------------------
 # ring operations
 
