@@ -22,6 +22,15 @@ multi-indices of j, grouped by partition), and truncated power-series
 inversion of the total class.  The three must agree symbolically.
 Specializing to projective space (one degree-1 generator h) evaluates the
 total-index integrand of a split bundle exactly.
+
+The routes share only arithmetic: one multiply-accumulate kernel adds
+weight * factor * element straight into one term dict, and each class is
+wrapped once, zero coefficients removed.  Every route multiplies
+homogeneous parts whose degrees sum to at most T: the recursion c_{j-i}(N)
+by d_i, the expansion each partition's product one part at a time, and
+the inversion builds c(N)^{-1} degree by degree and forms
+d_t = sum_j c_{t-j}(TX) [c(N)^{-1}]_j, so no pair of terms above the
+truncation is multiplied.
 """
 
 from __future__ import annotations
@@ -96,14 +105,24 @@ class GradedRing:
         return f"GradedRing({gens}; trunc={self.truncation})"
 
 
-def _combination(ring: GradedRing, pairs) -> "GradedElement":
-    """sum(weight * element) over the (weight, element) pairs, added up in
-    one dict."""
-    terms: dict[int, int] = {}
+def _multiply_add(terms: dict[int, int], weight: int, factor: dict[int, int],
+                  element: dict[int, int], limit: int) -> dict[int, int]:
+    """Add weight * factor * element (keyed term dicts) into ``terms`` in
+    place and return it, dropping keys at or above ``limit``.  Keys
+    multiply by adding.  Cancelled keys stay with coefficient 0 until
+    ``_wrap``."""
     get = terms.get
-    for weight, element in pairs:
-        for key, coeff in element.terms.items():
-            terms[key] = get(key, 0) + weight * coeff
+    for k1, c1 in factor.items():
+        scale, bound = weight * c1, limit - k1
+        for k2, c2 in element.items():
+            if k2 < bound:
+                key = k1 + k2
+                terms[key] = get(key, 0) + scale * c2
+    return terms
+
+
+def _wrap(ring: GradedRing, terms: dict[int, int]) -> "GradedElement":
+    """The element of accumulated ``terms``, zero coefficients removed."""
     return GradedElement._of(ring, {k: c for k, c in terms.items() if c})
 
 
@@ -151,11 +170,6 @@ class GradedElement:
     def coefficient(self, mono) -> int:
         return self.terms.get(self.ring.key(mono), 0)  # None is no key
 
-    def homogeneous_part(self, t: int) -> "GradedElement":
-        shift = self.ring.shift
-        return GradedElement._of(self.ring, {
-            key: c for key, c in self.terms.items() if key >> shift == t})
-
     def is_homogeneous_of_degree(self, t: int) -> bool:
         return all(key >> self.ring.shift == t for key in self.terms)
 
@@ -163,7 +177,8 @@ class GradedElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _combination(self.ring, ((1, self), (1, other)))
+        return _wrap(self.ring, _multiply_add(dict(self.terms), 1, {0: 1},
+                                              other.terms, self.ring._limit))
 
     __radd__ = __add__
 
@@ -183,26 +198,9 @@ class GradedElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        limit = self.ring._limit
         small, big = sorted((self.terms, other.terms), key=len)
-        if len(small) == 1:  # one shift of every key: nothing can cancel
-            (k1, c1), = small.items()
-            bound = limit - k1
-            return GradedElement._of(self.ring, {
-                k1 + k: c1 * c for k, c in big.items() if k < bound})
-        terms: dict[int, int] = {}
-        get = terms.get
-        right = big.items()
-        for k1, c1 in small.items():
-            for k2, c2 in right:
-                key = k1 + k2
-                if key < limit:
-                    coeff = get(key, 0) + c1 * c2
-                    if coeff:
-                        terms[key] = coeff
-                    else:
-                        del terms[key]  # c1 * c2 != 0, so the key was there
-        return GradedElement._of(self.ring, terms)
+        return _wrap(self.ring, _multiply_add({}, 1, small, big,
+                                              self.ring._limit))
 
     __rmul__ = __mul__
 
@@ -259,8 +257,35 @@ class ChernVector:
         return self.ring.zero()
 
     def total_class(self) -> GradedElement:
-        return _combination(self.ring, ((1, c) for c in
-                                        (self.ring.one(), *self.classes)))
+        return _join(self.ring, [self.ring.one(), *self.classes])
+
+
+def _class_terms(c: ChernVector) -> list[dict[int, int]]:
+    """The term dicts of c_0..c_T (T the truncation)."""
+    return [c.class_at(t).terms for t in range(c.ring.truncation + 1)]
+
+
+def _join(ring: GradedRing, parts) -> GradedElement:
+    """The sum of elements homogeneous of distinct degrees: their terms
+    never share a key, so the sum is a merge."""
+    terms: dict[int, int] = {}
+    for part in parts:
+        terms.update(part.terms)
+    return GradedElement._of(ring, terms)
+
+
+def _graded_product(ring: GradedRing, left, right
+                    ) -> tuple[GradedElement, ...]:
+    """Degrees 0..T of (sum left_t) * (sum right_t) for term dicts
+    homogeneous of degree t: the degree-t part is
+    sum_{j=0}^{t} left_{t-j} * right_j, so no pair above T is multiplied."""
+    out = []
+    for t in range(ring.truncation + 1):
+        terms: dict[int, int] = {}
+        for j in range(t + 1):
+            _multiply_add(terms, 1, left[t - j], right[j], ring._limit)
+        out.append(_wrap(ring, terms))
+    return tuple(out)
 
 
 def signed_partition_table(top: int) -> list[list[tuple[int, tuple]]]:
@@ -292,13 +317,22 @@ def inverse_total_class(c: ChernVector) -> GradedElement:
     The product of the total class with the result is exactly 1 in the
     truncated ring.
     """
-    ring = c.ring
+    return _join(c.ring, _inverse_parts(c))
+
+
+def _inverse_parts(c: ChernVector) -> list[GradedElement]:
+    """The homogeneous parts of c^{-1} up to the truncation degree, degree
+    by degree: [c^{-1}]_0 = 1 and
+    [c^{-1}]_k = -sum_{i=1}^{k} c_i [c^{-1}]_{k-i}."""
+    ring, classes = c.ring, _class_terms(c)
     parts = [ring.one()]
     for k in range(1, ring.truncation + 1):
-        parts.append(_combination(ring, (
-            (-1, c.class_at(i) * parts[k - i])
-            for i in range(1, min(k, c.rank) + 1))))
-    return _combination(ring, ((1, part) for part in parts))
+        terms: dict[int, int] = {}
+        for i in range(1, k + 1):
+            _multiply_add(terms, -1, classes[i], parts[k - i].terms,
+                          ring._limit)
+        parts.append(_wrap(ring, terms))
+    return parts
 
 
 def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
@@ -307,11 +341,14 @@ def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
     by the triangular recursion d_0 = 1,
     d_j = c_j(TX) - c_j(N) - sum_{0<i<j} c_{j-i}(N) d_i."""
     ring = c_tx.ring
+    tangent, normal = _class_terms(c_tx), _class_terms(c_n)
     deltas = [ring.one()]
     for j in range(1, ring.truncation + 1):
-        deltas.append(_combination(ring, [
-            (1, c_tx.class_at(j)), (-1, c_n.class_at(j)),
-            *((-1, c_n.class_at(j - i) * deltas[i]) for i in range(1, j))]))
+        terms = dict(tangent[j])  # the i = 0 term below is -c_j(N) d_0
+        for i in range(j):
+            _multiply_add(terms, -1, normal[j - i], deltas[i].terms,
+                          ring._limit)
+        deltas.append(_wrap(ring, terms))
     return tuple(deltas)
 
 
@@ -331,32 +368,29 @@ def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector,
     truncation), built here when it is None.
     """
     ring = c_tx.ring
+    top, limit, normal = ring.truncation, ring._limit, _class_terms(c_n)
     if partitions is None:
-        partitions = signed_partition_table(ring.truncation)
-    products = {(): ring.one()}  # parts -> c_{l_1}(N) ... c_{l_i}(N)
-    e = []
-    for j in range(ring.truncation + 1):
-        pairs = []
+        partitions = signed_partition_table(top)
+    e = [{0: 1}]
+    products = {(): e[0]}  # parts -> terms of c_{l_1}(N) ... c_{l_i}(N)
+    for j in range(1, top + 1):
+        terms: dict[int, int] = {}
         for weight, parts in partitions[j]:
-            if parts:  # the tail parts[1:] partitions a smaller j: met before
-                products[parts] = c_n.class_at(parts[0]) * products[parts[1:]]
-            pairs.append((weight, products[parts]))
-        e.append(_combination(ring, pairs))
-    return tuple(_combination(ring, ((1, c_tx.class_at(t - j) * e[j])
-                                     for j in range(t + 1)))
-                 for t in range(ring.truncation + 1))
+            # the tail parts[1:] partitions a smaller j: met before
+            head, tail = normal[parts[0]], products[parts[1:]]
+            if j + parts[0] <= top:  # the tail of a longer partition
+                products[parts] = _multiply_add({}, 1, head, tail, limit)
+            _multiply_add(terms, weight, head, tail, limit)
+        e.append(_wrap(ring, terms).terms)
+    return _graded_product(ring, _class_terms(c_tx), e)
 
 
 def chern_difference_inversion(c_tx: ChernVector, c_n: ChernVector
                                ) -> tuple[GradedElement, ...]:
     """Classes d_0..d_T of TX - N (T the truncation) as the homogeneous
     parts of c(TX) * c(N)^{-1}: the power-series route."""
-    ring = c_tx.ring
-    parts: list[dict[int, int]] = [{} for _ in range(ring.truncation + 1)]
-    for key, coeff in (c_tx.total_class()
-                       * inverse_total_class(c_n)).terms.items():
-        parts[key >> ring.shift][key] = coeff
-    return tuple(GradedElement._of(ring, part) for part in parts)
+    return _graded_product(c_tx.ring, _class_terms(c_tx),
+                           [part.terms for part in _inverse_parts(c_n)])
 
 
 def elementary_symmetric(l: int, ks) -> int:
@@ -427,6 +461,8 @@ def total_gsv_integral_projective(m: int, ks, d: int, partitions=None) -> int:
     diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
                                        split_bundle_chern(ring, ks), partitions)
     powers = _powers((d - 1) * ring.gen("h"), m - r)
-    acc = _combination(ring, ((1, diff * powers[m - r - t])
-                              for t, diff in enumerate(diffs)))
-    return elementary_symmetric(r, ks) * acc.coefficient(("h",) * (m - r))
+    acc: dict[int, int] = {}
+    for t, diff in enumerate(diffs):
+        _multiply_add(acc, 1, diff.terms, powers[m - r - t].terms, ring._limit)
+    return (elementary_symmetric(r, ks)
+            * _wrap(ring, acc).coefficient(("h",) * (m - r)))

@@ -69,8 +69,8 @@ from .projective import (
 
 BIGINT_THRESHOLD = 2 ** 53
 # The symbolic difference-class check over 2m Chern generators grows about
-# 1.3x per ambient dimension: 0.03 s at m = 18, 0.17 s at m = 24, 0.9 s
-# and 82 MB at m = 30 (run_job, best of three; k = 3, d = 2, 2-vCPU x86
+# 1.35x per ambient dimension: 0.015 s at m = 18, 0.10 s at m = 24, 0.52 s
+# and 74 MB at m = 30 (run_job, best of three; k = 3, d = 2, 2-vCPU x86
 # VM).  A higher cap would accept new input.
 CHERN_CHECK_MAX_AMBIENT = 18
 
@@ -429,6 +429,14 @@ def _oracle_info(cases, redo, anomalies) -> dict:
     return {"agreement": agreement, "dimensions_checked": checked}
 
 
+def _field_dims(dims: dict) -> tuple:
+    """(tau, dim_v, dim_vf) of one point's Macaulay dimensions, then mu
+    when the chain steps (labels 1..r) are among them."""
+    chain = {label: d for label, d in dims.items() if isinstance(label, int)}
+    return (dims["tau"], dims["dim_v"], dims["dim_vf"],
+            *((milnor_from_chain(chain),) if chain else ()))
+
+
 def _run_total_or_local(job: JobSpec, oracle: bool):
     """local-gsv, total-gsv, schwartz and euler: the Milnor chain runs in
     the last two, and every mode but local-gsv reports the closed form."""
@@ -436,7 +444,8 @@ def _run_total_or_local(job: JobSpec, oracle: bool):
     _need_curve(job)
     _need(bool(job.points), "[points] point: at least one point is required")
     anomalies = []
-    if job.mode in ("schwartz", "euler"):
+    chain = job.mode in ("schwartz", "euler")
+    if chain:
         report = total_indices_certified(job.foliation, job.curve, job.points,
                                          equation_order=job.milnor_order)
     else:
@@ -464,11 +473,12 @@ def _run_total_or_local(job: JobSpec, oracle: bool):
         for germ in report.germs:
             invariance_certificate(*germ)
         oracle_info = _oracle_info(
-            [(point, germ_ideals(*germ), (rep.tau, rep.dim_v, rep.dim_vf))
+            [(point, germ_ideals(*germ, chain=chain),
+              (rep.tau, rep.dim_v, rep.dim_vf)
+              + ((rep.milnor,) if chain else ()))
              for point, rep, germ in zip(job.points, report.per_point,
                                          report.germs)],
-            lambda dims: (dims["tau"], dims["dim_v"], dims["dim_vf"]),
-            anomalies)
+            _field_dims, anomalies)
     if job.mode == "euler":
         euler = euler_characteristic_curve(
             [rep.schwartz for rep in report.per_point])

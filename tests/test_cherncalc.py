@@ -181,6 +181,15 @@ class NameTupleElement:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+def homogeneous_part(x, t):
+    """The degree-t part of a GradedElement, rebuilt from its monomials
+    (a key holds its degree above bit ``ring.shift``)."""
+    ring = x.ring
+    return GradedElement(ring, {ring._names_of(key): c
+                                for key, c in x.terms.items()
+                                if key >> ring.shift == t})
+
+
 def random_name_terms(rng, names):
     """Unsorted, repeated, zero and over-degree monomials included."""
     return {tuple(rng.choice(names) for _ in range(rng.randint(0, 3))):
@@ -206,7 +215,7 @@ def test_keyed_terms_match_name_tuple_reference():
                      (x * y, rx * ry), (x ** e, rx ** e), (-x, -rx),
                      (x + k, rx + const), (k - x, const - rx),
                      (x * k, rx * const)]
-            cases += [(x.homogeneous_part(t), rx.homogeneous_part(t))
+            cases += [(homogeneous_part(x, t), rx.homogeneous_part(t))
                       for t in range(truncation + 2)]
             monos = [mono for n in range(4)
                      for mono in itertools.combinations_with_replacement(
@@ -309,7 +318,7 @@ def test_inverse_multiply_back_randomized():
 def test_inverse_is_involution():
     ring, c_tx, _ = abstract_pair(4)
     inv = inverse_total_class(c_tx)
-    back = ChernVector(ring, [inv.homogeneous_part(t) for t in range(1, 5)])
+    back = ChernVector(ring, [homogeneous_part(inv, t) for t in range(1, 5)])
     assert inverse_total_class(back) == c_tx.total_class()
 
 
@@ -401,17 +410,18 @@ def test_routes_return_every_degree_up_to_truncation():
                 assert d.is_homogeneous_of_degree(t)
 
 
-def reference_routes(m):
-    """The three routes' formulas for d_0..d_m, in NameTupleElement
-    arithmetic over a_t, b_t; the expansion sums over compositions."""
-    degrees = {f"{x}{t}": t for x in "ab" for t in range(1, m + 1)}
+def reference_routes(degrees, m, tangent, normal):
+    """The three routes' formulas for d_0..d_m in NameTupleElement
+    arithmetic, from c_1, c_2, ... of TX and of N as name-tuple term dicts;
+    the expansion sums over compositions."""
 
     def element(terms):
         return NameTupleElement(degrees, m, terms)
 
     one = element({(): 1})
-    a = [one] + [element({(f"a{t}",): 1}) for t in range(1, m + 1)]
-    b = [one] + [element({(f"b{t}",): 1}) for t in range(1, m + 1)]
+    a, b = (([one] + [element(c) for c in classes]
+             + [element({})] * (m + 1))[:m + 1]
+            for classes in (tangent, normal))
     rec = [one]
     for j in range(1, m + 1):
         d = a[j] - b[j]
@@ -450,14 +460,66 @@ def reference_routes(m):
     return rec, exp, inv
 
 
-def test_routes_match_name_tuple_reference():
+def random_class_terms(rng, degrees, t):
+    """Name-tuple terms of a random class of degree t: up to four
+    monomials, coefficients -2..2 (zero included)."""
+    monos = [mono for n in range(1, t + 1)
+             for mono in itertools.combinations_with_replacement(
+                 sorted(degrees), n)
+             if sum(degrees[name] for name in mono) == t]
+    return {mono: rng.randint(-2, 2)
+            for mono in rng.sample(monos, min(len(monos),
+                                              rng.randint(1, 4)))}
+
+
+def mixed_route_cases():
+    """(degrees, truncation, TX classes, N classes) as name-tuple terms:
+    the abstract pair for m = 3..7, then seeded multi-term classes over
+    shared generators with ranks from 0 to one above the truncation,
+    truncations 0 to 6, TX = N (every d_t above 0 cancels) and
+    N = TX + L for a line bundle L."""
     for m in range(3, 8):
-        _, c_tx, c_n = abstract_pair(m)
-        routes = (chern_difference_recursion, chern_difference_expansion,
-                  chern_difference_inversion)
-        for route, want in zip(routes, reference_routes(m)):
-            assert [repr(d) for d in route(c_tx, c_n)] \
-                == [repr(d) for d in want], (m, route.__name__)
+        degrees = {f"{x}{t}": t for x in "ab" for t in range(1, m + 1)}
+        yield (degrees, m, [{(f"a{t}",): 1} for t in range(1, m + 1)],
+               [{(f"b{t}",): 1} for t in range(1, m + 1)])
+    rng = random.Random(27)
+    degrees = {"x": 1, "y": 1, "z": 2, "w": 3}
+    for truncation in [0, 1] * 4 + list(range(7)) * 4:
+        tangent, normal = ([random_class_terms(rng, degrees, t)
+                            for t in range(1, rng.randint(0, truncation + 1)
+                                           + 1)]
+                           for _ in range(2))
+        yield degrees, truncation, tangent, normal
+        yield degrees, truncation, tangent, tangent
+        # c(TX + L) = c(TX) (1 + x), so d_t = [(1 + x)^{-1}]_t = (-x)^t
+        plus_line = [NameTupleElement(degrees, truncation, c) for c in
+                     [{(): 1}] + tangent + [{}]]
+        sums = [plus_line[t] + plus_line[t - 1] * NameTupleElement(
+                    degrees, truncation, {("x",): 1})
+                for t in range(1, len(plus_line))]
+        yield degrees, truncation, tangent, [c.terms for c in sums]
+
+
+def test_routes_match_name_tuple_reference():
+    routes = (chern_difference_recursion, chern_difference_expansion,
+              chern_difference_inversion)
+    for degrees, truncation, tangent, normal in mixed_route_cases():
+        ring = GradedRing(degrees, truncation)
+        c_tx, c_n = (ChernVector(ring, [GradedElement(ring, c)
+                                        for c in classes])
+                     for classes in (tangent, normal))
+        case = (truncation, tangent, normal)
+        for route, want in zip(routes, reference_routes(
+                degrees, truncation, tangent, normal)):
+            got = route(c_tx, c_n)
+            assert [repr(d) for d in got] == [repr(d) for d in want], \
+                (route.__name__, case)
+            assert all(c for d in got for c in d.terms.values()), \
+                (route.__name__, case)
+        for c in (c_tx, c_n):
+            inverse = inverse_total_class(c)
+            assert all(inverse.terms.values()), case
+            assert inverse * c.total_class() == ring.one(), case
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from gsvkit.localring import MACAULAY_MAX_DEGREE
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JOB = REPO / "golden" / "total_gsv_worked_example.job"
 GOLDEN_EXPECTED = REPO / "golden" / "total_gsv_worked_example.expected.json"
+CHERN_GOLDEN_JOB = REPO / "golden" / "chern_check_m13.job"
+CHERN_GOLDEN_EXPECTED = REPO / "golden" / "chern_check_m13.expected.json"
 
 TIMING = re.compile(r'"timing": [0-9.e+-]+')
 
@@ -67,6 +69,14 @@ def test_golden_matches_stored_fixture(capsys):
                         "--quiet")
     assert normalize(out).strip() == \
         normalize(GOLDEN_EXPECTED.read_text()).strip()
+
+
+def test_chern_check_golden_matches_stored_fixture(capsys):
+    code, out, _ = run_cli(capsys, "chern-check", "--job",
+                           str(CHERN_GOLDEN_JOB), "--quiet")
+    assert code == 0
+    assert normalize(out).strip() == \
+        normalize(CHERN_GOLDEN_EXPECTED.read_text()).strip()
 
 
 def test_golden_oracle_agrees(capsys):
@@ -870,6 +880,49 @@ def test_job_file_errors_exit_1_with_their_exact_text(tmp_path, capsys):
         assert code == 1, error
         assert json.loads(out) == {"error": error}
         assert err == f"gsvkit: {error}\n"
+
+
+def test_euler_oracle_checks_the_chain_steps(tmp_path, capsys):
+    job = SCHWARTZ_JOB.replace("mode = schwartz", "mode = euler")
+    path = write_job(tmp_path, job)
+    _, plain, _ = run_cli(capsys, "euler", "--job", path, "--quiet")
+    code, out, _ = run_cli(capsys, "euler", "--job", path, "--oracle",
+                           "--quiet")
+    assert code == 0
+    report = json.loads(out)
+    # tau, dim_v, dim_vf and chain steps 1 and 2 at each of two points
+    assert report["oracle"] == {"agreement": True, "dimensions_checked": 10}
+    assert report["results"] == json.loads(plain)["results"]
+
+
+def test_oracle_chain_disagreement_is_an_anomaly(tmp_path, capsys,
+                                                 monkeypatch):
+    path = write_job(tmp_path, SCHWARTZ_JOB)
+    _, plain, _ = run_cli(capsys, "schwartz", "--job", path, "--quiet")
+    # the oracle reads chain step 2 one too large, so its mu is one larger
+    step_two = []
+
+    def recording_ideals(*args, **kwargs):
+        ideals = germ_ideals(*args, **kwargs)
+        step_two.extend(gens for label, gens in ideals.items() if label == 2)
+        return ideals
+
+    germ_ideals, macaulay = cli.germ_ideals, cli.quotient_dim_macaulay
+    monkeypatch.setattr(cli, "germ_ideals", recording_ideals)
+    monkeypatch.setattr(cli, "quotient_dim_macaulay", lambda gens: macaulay(
+        gens) + any(gens is step for step in step_two))
+    code, out, _ = run_cli(capsys, "schwartz", "--job", path, "--oracle",
+                           "--quiet")
+    assert code == 2
+    report = json.loads(out)
+    assert report["oracle"] == {"agreement": False, "dimensions_checked": 10}
+    assert report["anomalies"] == [
+        "oracle disagreement at chart 0 point ['0', '0', '0']: staircase "
+        "(2, 1, 1, 2) vs Macaulay (2, 1, 1, 3)",
+        "oracle disagreement at chart 1 point ['0', '0', '0']: staircase "
+        "(6, 1, 1, 6) vs Macaulay (6, 1, 1, 7)",
+    ]
+    assert report["results"] == json.loads(plain)["results"]
 
 
 def test_oracle_disagreement_is_an_anomaly(tmp_path, capsys, monkeypatch):
