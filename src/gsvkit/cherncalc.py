@@ -19,9 +19,10 @@ truncation degree) are computed three independent ways, each returning the
 whole sequence in one pass: a triangular recursion, the closed multi-index
 expansion (d_t = sum_j c_{t-j}(TX) e_j, e_j the signed sum over the
 multi-indices of j, grouped by partition), and truncated power-series
-inversion of the total class.  The three must agree symbolically.
-Specializing to projective space (one degree-1 generator h) evaluates the
-total-index integrand of a split bundle exactly.
+inversion of the total class.  The three must agree symbolically.  Only
+the expansion reads the partition table.  Specializing to projective
+space (one degree-1 generator h) evaluates the total-index integrand of a
+split bundle exactly, its difference classes taken from the recursion.
 
 The routes share only arithmetic: one multiply-accumulate kernel adds
 weight * factor * element straight into one term dict, and each class is
@@ -352,8 +353,8 @@ def chern_difference_recursion(c_tx: ChernVector, c_n: ChernVector
     return tuple(deltas)
 
 
-def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector,
-                               partitions=None) -> tuple[GradedElement, ...]:
+def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector
+                               ) -> tuple[GradedElement, ...]:
     """Classes d_0..d_T of TX - N (T the truncation) by the closed
     multi-index expansion
 
@@ -363,14 +364,12 @@ def chern_difference_expansion(c_tx: ChernVector, c_n: ChernVector,
     with the common factor c_{t-j}(TX) pulled out: d_t = sum_{j=0}^{t}
     c_{t-j}(TX) e_j, where e_0 = 1 and
     e_j = sum_{i=1}^{j} (-1)^i sum_{|L_i| = j} c_{l_1}(N) ... c_{l_i}(N),
-    summed over the partitions of j by their signed counts, read from
-    ``partitions`` (a ``signed_partition_table`` reaching at least the
-    truncation), built here when it is None.
+    summed over the partitions of j by their signed counts
+    (``signed_partition_table``).
     """
     ring = c_tx.ring
     top, limit, normal = ring.truncation, ring._limit, _class_terms(c_n)
-    if partitions is None:
-        partitions = signed_partition_table(top)
+    partitions = signed_partition_table(top)
     e = [{0: 1}]
     products = {(): e[0]}  # parts -> terms of c_{l_1}(N) ... c_{l_i}(N)
     for j in range(1, top + 1):
@@ -433,7 +432,7 @@ def split_bundle_chern(ring: GradedRing, ks) -> ChernVector:
     return ChernVector(ring, [e[l] * h[l] for l in range(1, len(ks) + 1)])
 
 
-def total_gsv_integral_projective(m: int, ks, d: int, partitions=None) -> int:
+def total_gsv_integral_projective(m: int, ks, d: int) -> int:
     """Total GSV index on P^m of a degree-d foliation along the complete
     intersection cut out by hypersurfaces of degrees ks, evaluated from the
     characteristic-class integrand.
@@ -445,7 +444,8 @@ def total_gsv_integral_projective(m: int, ks, d: int, partitions=None) -> int:
 
         c_r(N) * sum_{t=0}^{m-r} c_t(TX - N) * ((d-1)h)^(m-r-t)
 
-    with the difference classes expanded by the multi-index formula.  As
+    with the difference classes from the triangular recursion, which
+    chern-check compares symbolically with the multi-index expansion.  As
     c_r(N) = e_r(k) h^r, that is e_r(k) times the h^(m-r) coefficient of
     the sum, so the ring is truncated at degree m-r.
     """
@@ -458,8 +458,8 @@ def total_gsv_integral_projective(m: int, ks, d: int, partitions=None) -> int:
     if d < 0:
         raise ValueError("foliation degree must be non-negative")
     ring = GradedRing({"h": 1}, m - r)
-    diffs = chern_difference_expansion(projective_tangent_chern(ring, m),
-                                       split_bundle_chern(ring, ks), partitions)
+    diffs = chern_difference_recursion(projective_tangent_chern(ring, m),
+                                       split_bundle_chern(ring, ks))
     powers = _powers((d - 1) * ring.gen("h"), m - r)
     acc: dict[int, int] = {}
     for t, diff in enumerate(diffs):

@@ -30,7 +30,6 @@ from .cherncalc import (
     chern_difference_expansion,
     chern_difference_inversion,
     chern_difference_recursion,
-    signed_partition_table,
     total_gsv_integral_projective,
 )
 from .errors import (
@@ -625,15 +624,14 @@ def _run_chern_check(job: JobSpec, oracle: bool):
     ring = GradedRing(names, m)
     c_tx = ChernVector(ring, [ring.gen(f"a{t}") for t in range(1, m + 1)])
     c_n = ChernVector(ring, [ring.gen(f"b{t}") for t in range(1, m + 1)])
-    partitions = signed_partition_table(m)  # shared by three users below
     triple = (chern_difference_recursion(c_tx, c_n)
-              == chern_difference_expansion(c_tx, c_n, partitions)
+              == chern_difference_expansion(c_tx, c_n)
               == chern_difference_inversion(c_tx, c_n))
     if not triple:
         anomalies.append("difference-class identities disagree symbolically")
     try:
-        integral = total_gsv_integral_projective(m, ks, d, partitions)
-        closed = closed_form_gsv(m, ks, d, partitions)
+        integral = total_gsv_integral_projective(m, ks, d)
+        closed = closed_form_gsv(m, ks, d)
     except ValueError as exc:
         raise JobFileError(f"{ks_field}: {exc}") from None
     if integral != closed:

@@ -51,11 +51,14 @@ staircase.  Every monomial of degree N then lies in L(G), so it leads an
 element of I; the order ranks lower degree higher, so these elements span
 m^N modulo m^(N+1).  Hence m^N lies in I + m * m^N, and Nakayama's lemma
 gives m^N in I, so every term of degree >= N is itself in I.  From then on
-such terms are dropped from every S-polynomial, after every Mora step and
-from the basis rows (a row whose leading monomial has degree >= N is kept
-whole).
-Whenever an element joins the basis, N is recomputed by the same walk that
-counts the staircase.  N must be this exact corner: a looser N from the
+such terms are dropped from every S-polynomial and after every Mora step.
+The stored basis rows are not rewritten when N moves: N only shrinks, so
+each row is an element of I or agrees with one modulo m^N' for an older
+N' >= N, where m^N' lies in m^N and so in I, and every combination drops
+the terms of degree >= N from both of its operands.
+The staircase is walked once on the generators' leads and again whenever
+an element joins the basis; that walk gives N and the count that
+``quotient_dim`` returns.  N must be this exact corner: a looser N from the
 pure powers x_i^a_i alone, 1 + sum(a_i - 1), is valid too, but the longer
 rows it keeps can make the completion thousands of times slower.  Tracked
 rows are never truncated: their units and cofactors must re-expand
@@ -273,7 +276,8 @@ def _mora(row, reducers, budget, nvars, cut=None):
 
 def _complete(rows, nvars, truncate=False):
     """Standard basis of the ideal of the rows' first entries, as
-    ``_reducer`` entries, and the exponents of their leading monomials.
+    ``_reducer`` entries, the exponents of their leading monomials, and
+    the ``_staircase`` of those (None without ``truncate``).
 
     With ``truncate`` (bare rows only) every term at or above the highest
     corner is dropped once there is one: the rows then have the leading
@@ -285,20 +289,10 @@ def _complete(rows, nvars, truncate=False):
         _check_degree(max(row[0]) >> shift, "completion")
     reducers = [_reducer(_primitive(row), shift) for row in rows]
     leads = [_exponents(entry[1], nvars) for entry in reducers]
-    cut = None
-    grew = truncate
+    stairs = _staircase(leads, nvars) if truncate else None
     pairs = deque(itertools.combinations(range(len(reducers)), 2))
     while pairs:
-        if grew:
-            grew = False
-            stairs = _staircase(leads, nvars)
-            if stairs is not None and stairs[1] << shift != cut:
-                cut = stairs[1] << shift
-                reducers = [
-                    entry if entry[1] >= cut else _reducer(
-                        [{k: c for k, c in entry[0][0].items() if k < cut}],
-                        shift)
-                    for entry in reducers]
+        cut = None if stairs is None else stairs[1] << shift
         i, j = pairs.popleft()
         row_i, lead_i, lc_i, _ = reducers[i]
         row_j, lead_j, lc_j, _ = reducers[j]
@@ -315,8 +309,9 @@ def _complete(rows, nvars, truncate=False):
         reducers.append(_reducer(rem, shift))
         leads.append(_exponents(reducers[-1][1], nvars))
         pairs.extend((k, len(reducers) - 1) for k in range(len(reducers) - 1))
-        grew = truncate
-    return reducers, leads
+        if truncate:
+            stairs = _staircase(leads, nvars)
+    return reducers, leads, stairs
 
 
 def _staircase(leads: list[Exponents], nvars: int):
@@ -348,10 +343,8 @@ def quotient_dim(gens: IdealGens) -> int:
     variable; the value is then the number of staircase monomials.
     Otherwise raises InfiniteDimensionError.
     """
-    nvars = len(gens.variables)
-    _, leads = _complete([_pack((g,)) for g in gens.generators], nvars,
-                         truncate=True)
-    stairs = _staircase(leads, nvars)
+    _, _, stairs = _complete([_pack((g,)) for g in gens.generators],
+                             len(gens.variables), truncate=True)
     if stairs is None:
         raise InfiniteDimensionError("the quotient is not finite-dimensional")
     return stairs[0]
@@ -376,9 +369,9 @@ def _reduce_targets(targets, gens: IdealGens, wide: bool):
         start = (one,) + (zero,) * n
     else:
         tails, start = [()] * n, ()
-    reducers, _ = _complete([_pack((g,) + tail)
-                             for g, tail in zip(gens.generators, tails)],
-                            nvars)
+    reducers, _, _ = _complete([_pack((g,) + tail)
+                                for g, tail in zip(gens.generators, tails)],
+                               nvars)
     budget = _Budget(DEFAULT_STEP_LIMIT)
     rems = []
     for index, p in enumerate(targets):

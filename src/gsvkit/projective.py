@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .cherncalc import _elementary_symmetrics, signed_partition_table
+from .cherncalc import _elementary_symmetrics
 from .errors import DuplicatePointError, GsvkitError, PointNotOnCurveError
 from .indices import (
     CurveGerm,
@@ -163,19 +163,19 @@ def dehomogenize_foliation(fol: ProjectiveFoliation,
 # ---------------------------------------------------------------------------
 # closed forms and inequality reports
 
-def closed_form_gsv(m: int, ks, d: int, partitions=None) -> int:
+def closed_form_gsv(m: int, ks, d: int) -> int:
     """Total GSV index by the combinatorial closed form:
 
     prod(k) * sum_{t=0}^{m-r} [ C(m+1, t)
         + sum_{j=1}^{t} sum_{i=1}^{j} sum_{|L_i|=j}
             (-1)^i C(m+1, t-j) prod_s e_{l_s}(k) ] (d-1)^(m-r-t)
 
-    The inner sum E_j does not depend on t; it is summed once per j over
-    the partitions of j by their signed counts, and the bracket becomes
-    sum_{j=0}^{t} C(m+1, t-j) E_j with E_0 = 1.
-    For r = m-1 this collapses to prod(k) * (d + m - sum(k)).  The
-    partitions are read from ``partitions`` (a ``signed_partition_table``
-    reaching at least m-r), built here when it is None.
+    The inner sum E_j does not depend on t, and the bracket becomes
+    sum_{j=0}^{t} C(m+1, t-j) E_j with E_0 = 1.  Splitting off the first
+    index l_1 = l of each multi-index leaves the multi-indices of j - l
+    with one sign fewer, so E_j = -sum_{l=1}^{min(j, r)} e_l(k) E_{j-l}
+    (e_l = 0 above r), term for term the same sum in O((m-r) r) steps.
+    For r = m-1 this collapses to prod(k) * (d + m - sum(k)).
     """
     ks = list(ks)
     r = len(ks)
@@ -186,13 +186,11 @@ def closed_form_gsv(m: int, ks, d: int, partitions=None) -> int:
     if d < 0:
         raise ValueError("foliation degree must be non-negative")
     top = m - r
-    if partitions is None:
-        partitions = signed_partition_table(top)
     e = _elementary_symmetrics(ks, top)
-    big_e = [0] * (top + 1)
-    for j in range(top + 1):
-        for weight, parts in partitions[j]:
-            big_e[j] += weight * prod([e[l] for l in parts])
+    big_e = [1]
+    for j in range(1, top + 1):
+        big_e.append(-sum(e[l] * big_e[j - l]
+                          for l in range(1, min(j, r) + 1)))
     total = sum(comb(m + 1, t - j) * big_e[j] * (d - 1) ** (top - t)
                 for t in range(top + 1) for j in range(t + 1))
     return total * prod(ks)

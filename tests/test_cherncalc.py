@@ -7,6 +7,7 @@ from math import comb, prod
 
 import pytest
 
+from gsvkit import cherncalc, projective
 from gsvkit.cherncalc import (
     ChernVector,
     GradedElement,
@@ -619,3 +620,53 @@ def test_closed_form_matches_power_series():
             if sample == 0:  # one integral per m: it costs the most
                 assert total_gsv_integral_projective(m, ks, d) == want, \
                     (m, ks, d)
+
+
+def test_integral_and_closed_form_read_no_partition_table(monkeypatch):
+    def refuse(top):
+        raise AssertionError("only the symbolic expansion reads the table")
+
+    for module in (cherncalc, projective):  # either may hold the name
+        monkeypatch.setattr(module, "signed_partition_table", refuse,
+                            raising=False)
+    for m, ks, d in [(3, (3, 2), 1), (6, (2,), 3), (9, (1, 2, 3), 0),
+                     (13, (3, 3, 2, 1, 2), 2)]:
+        want = series_total_gsv(m, ks, d)
+        assert closed_form_gsv(m, ks, d) == want
+        assert total_gsv_integral_projective(m, ks, d) == want
+
+
+def literal_closed_form(m, ks, d):
+    """The closed form as printed: prod(k) sum_t [C(m+1, t) + sum over the
+    ordered multi-indices (l_1..l_i), sum l = j <= t, of
+    (-1)^i C(m+1, t-j) e_{l_1}(k)...e_{l_i}(k)] (d-1)^(m-r-t)."""
+    top = m - len(ks)
+    e = [elementary_symmetric(l, ks) for l in range(top + 1)]
+    total = 0
+    for t in range(top + 1):
+        bracket = comb(m + 1, t)
+        for j in range(1, t + 1):
+            for i in range(1, j + 1):
+                for ls in itertools.product(range(1, j + 1), repeat=i):
+                    if sum(ls) == j:
+                        bracket += ((-1) ** i * comb(m + 1, t - j)
+                                    * prod(e[l] for l in ls))
+        total += bracket * (d - 1) ** (top - t)
+    return prod(ks) * total
+
+
+def test_closed_form_matches_the_literal_multi_index_sum():
+    rng = random.Random(30)
+    for m in range(2, 9):
+        for r in range(1, m):
+            ks = tuple(rng.randint(1, 5) for _ in range(r))
+            d = rng.randint(0, 6)
+            assert closed_form_gsv(m, ks, d) \
+                == literal_closed_form(m, ks, d), (m, ks, d)
+
+
+def test_integral_and_closed_form_at_ambient_100():
+    for ks, d in [((2,), 1), ((3, 2), 4), ((1, 2, 3), 0)]:
+        want = series_total_gsv(100, ks, d)
+        assert closed_form_gsv(100, ks, d) == want
+        assert total_gsv_integral_projective(100, ks, d) == want

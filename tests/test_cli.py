@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gsvkit import cherncalc, cli, indices, projective
+from gsvkit import cherncalc, cli, indices
 from gsvkit.cli import load_job, main, render_report, run_job
 from gsvkit.localring import MACAULAY_MAX_DEGREE
 
@@ -307,15 +307,14 @@ def test_chern_check_calls_each_route_once(tmp_path, capsys, monkeypatch):
             return route(*args)
 
         monkeypatch.setattr(cli, name, counted)
-    # every module that can build the partition table, under one counter
+    # only the expansion builds the partition table, in cherncalc
     build = cherncalc.signed_partition_table
 
     def counted_table(*args):
         calls.append("signed_partition_table")
         return build(*args)
 
-    for module in (cli, cherncalc, projective):
-        monkeypatch.setattr(module, "signed_partition_table", counted_table)
+    monkeypatch.setattr(cherncalc, "signed_partition_table", counted_table)
     path = write_job(tmp_path, CHERN_JOB)
     for jobs in (1, 2):
         code, out, _ = run_cli(capsys, "chern-check", "--job", path, "--quiet")

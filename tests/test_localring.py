@@ -228,7 +228,7 @@ def completion(ideal, tracked=False):
     tails = [tuple(Polynomial.constant(variables, int(k == j))
                    for k in range(n)) if tracked else ()
              for j in range(n)]
-    entries, leads = _complete(
+    entries, leads, _ = _complete(
         [_pack((g,) + tail) for g, tail in zip(ideal.generators, tails)],
         len(variables))
     elements = tuple(_unpack(entry[0][:1], variables,
@@ -399,6 +399,32 @@ def test_quotient_dim_builds_no_lifts(monkeypatch):
     with pytest.raises(InfiniteDimensionError):
         quotient_dim(gens("x", variables=X2))
     assert calls == [([1, 1], True), ([1, 1, 1], True), ([1], True)]
+
+
+def test_quotient_dim_walks_once_per_new_element(monkeypatch):
+    # one walk on the generators' leads, one after each element joins the
+    # basis, and none after the completion returns its staircase
+    walks, seen = [], []
+    walk, complete = localring._staircase, localring._complete
+
+    def counted_walk(leads, nvars):
+        walks.append(len(leads))
+        return walk(leads, nvars)
+
+    def spy(rows, nvars, truncate=False):
+        out = complete(rows, nvars, truncate)
+        seen.append((len(rows), len(walks), out))
+        return out
+
+    monkeypatch.setattr(localring, "_staircase", counted_walk)
+    monkeypatch.setattr(localring, "_complete", spy)
+    ideal = gens("x1 - x2^3", "x3^2 - x1", "x2*x3")
+    assert quotient_dim(ideal) == 5
+    [(generators, walked, (reducers, leads, stairs))] = seen
+    assert len(reducers) > generators  # the completion added elements
+    assert walks == list(range(generators, len(reducers) + 1))
+    assert walked == len(walks)
+    assert stairs == walk(leads, 3) == (5, 4)
 
 
 # ---------------------------------------------------------------------------
