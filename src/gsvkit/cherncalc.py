@@ -257,9 +257,6 @@ class ChernVector:
             return self.classes[t - 1]
         return self.ring.zero()
 
-    def total_class(self) -> GradedElement:
-        return _join(self.ring, [self.ring.one(), *self.classes])
-
 
 def _class_terms(c: ChernVector) -> list[dict[int, int]]:
     """The term dicts of c_0..c_T (T the truncation)."""

@@ -20,7 +20,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -285,11 +286,9 @@ def load_job(text: str) -> JobSpec:
             comps = _parse_polynomials(
                 _single(sections, "foliation", "components"),
                 "[foliation] components", projective_variables(ambient))
-            try:
+            with _field("[foliation] components"):
                 foliation = ProjectiveFoliation(ambient, foliation_degree,
                                                 comps)
-            except ValueError as exc:
-                raise JobFileError(f"[foliation] components: {exc}") from None
 
     curve = None
     milnor_order = None
@@ -305,10 +304,8 @@ def load_job(text: str) -> JobSpec:
             "[curve] equations", projective_variables(ambient))
         if multidegree is None:
             multidegree = tuple(f.degree() for f in eqs)
-        try:
+        with _field("[curve] equations"):
             curve = ProjectiveCI(ambient, eqs, multidegree)
-        except ValueError as exc:
-            raise JobFileError(f"[curve] equations: {exc}") from None
         if order_raw is not None:
             order = _parse_int_list(order_raw, "[curve] order")
             if sorted(order) != list(range(1, len(eqs) + 1)):
@@ -351,6 +348,24 @@ def _need(condition, message):
         raise JobFileError(message)
 
 
+@contextmanager
+def _field(name):
+    """A ValueError of the library, raised again as the JobFileError of
+    the job-file field ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise JobFileError(f"{name}: {exc}") from None
+
+
+def _fields(report, *dropped) -> dict:
+    """The report's dataclass fields by name, without ``dropped`` and
+    without any field that is None."""
+    return {f.name: value for f in fields(report)
+            if f.name not in dropped
+            and (value := getattr(report, f.name)) is not None}
+
+
 def _need_curve(job: JobSpec):
     """Require curve equations; exactly m-1 of them except in tjurina mode."""
     _need(job.curve is not None, "[curve] equations: required")
@@ -386,16 +401,6 @@ def _echo_inputs(job: JobSpec) -> dict:
     if job.parameters:
         echo["parameters"] = {k: v for k, v in sorted(job.parameters.items())}
     return echo
-
-
-def _local_report_dict(point: PointOnChart, report) -> dict:
-    out = {"point": _point_echo(point), "tau": report.tau,
-           "dim_v": report.dim_v, "dim_vf": report.dim_vf, "gsv": report.gsv}
-    if report.milnor is not None:
-        out["milnor"] = report.milnor
-        out["schwartz"] = report.schwartz
-        out["quasihomogeneous"] = report.quasihomogeneous
-    return out
 
 
 def _oracle_info(cases, redo, anomalies) -> dict:
@@ -452,13 +457,11 @@ def _run_total_or_local(job: JobSpec, oracle: bool):
     results: dict = {
         "per_point": [r.gsv for r in report.per_point],
         "per_point_detail": [
-            _local_report_dict(p, r)
+            {"point": _point_echo(p), **_fields(r, "anomalies")}
             for p, r in zip(job.points, report.per_point)],
     }
     if job.mode != "local-gsv":
-        results["closed_form"] = report.closed_form
-        results["local_sum"] = report.local_sum
-        results["consistent"] = report.consistent
+        results.update(_fields(report, "per_point", "germs"))
         if not report.consistent:
             anomalies.append(
                 f"total index mismatch: closed form {report.closed_form} != "
@@ -521,14 +524,10 @@ def _run_bounds(job: JobSpec, oracle: bool):
     _need("r" in job.parameters, "[parameters] r: required")
     _need("tau" in job.parameters, "[parameters] tau: required")
     m, r, tau = job.ambient, job.parameters["r"], job.parameters["tau"]
-    try:
+    with _field("[parameters] r"):
         constants = nondegenerate_bound_constants(m, r)
-    except ValueError as exc:
-        raise JobFileError(f"[parameters] r: {exc}") from None
-    try:
+    with _field("[parameters] tau"):
         lo, hi = constants.bounds(tau)
-    except ValueError as exc:
-        raise JobFileError(f"[parameters] tau: {exc}") from None
     results = {
         "lo": lo, "hi": hi,
         "eps_r": constants.eps_r, "alpha": constants.alpha,
@@ -544,10 +543,8 @@ def _run_bounds(job: JobSpec, oracle: bool):
             "matches_formula": published == (lo, hi),
         }
     if "rho" in job.parameters:
-        try:
+        with _field("[parameters] rho"):
             gsv, positive = constants.gsv_at_rho(tau, job.parameters["rho"])
-        except ValueError as exc:
-            raise JobFileError(f"[parameters] rho: {exc}") from None
         results["gsv_at_rho"] = gsv
         results["positive_at_rho"] = positive
     return results, [], None
@@ -558,34 +555,23 @@ def _run_poincare(job: JobSpec, oracle: bool):
     m = job.ambient
     ks, ks_field, d = _grid_inputs(job)
     anomalies = []
-    try:
+    with _field(ks_field):
         rep = poincare_degree_bound(m, ks, d)
-    except ValueError as exc:
-        raise JobFileError(f"{ks_field}: {exc}") from None
-    results: dict = {
-        "gsv": rep.gsv, "degree_sum": rep.degree_sum, "bound": rep.bound,
-        "inequality_holds": rep.inequality_holds,
-        "gsv_nonnegative": rep.gsv_nonnegative,
-        "equivalence_ok": rep.equivalence_ok,
-    }
+    results = _fields(rep)
     if not rep.equivalence_ok:
         anomalies.append("degree-bound/index-sign equivalence failed")
     milnors = job.parameters.get("milnors")
-    try:
+    with _field("[parameters] milnors"):
         if milnors is not None:
             t4 = milnor_degree_bound(m, ks, d, milnors)
-            results["milnor_bound"] = {"lhs": t4.lhs, "rhs": t4.rhs,
-                                       "holds": t4.holds}
+            results["milnor_bound"] = _fields(t4, "note")
             if not t4.holds:
                 anomalies.append("Milnor-weighted degree bound failed")
         if m == 2:
             s9 = soares_plane_bound(ks[0], d, milnors or [])
-            results["plane_bound"] = {"lhs": s9.lhs, "rhs": s9.rhs,
-                                      "holds": s9.holds}
+            results["plane_bound"] = _fields(s9, "note")
             if s9.note:
                 anomalies.append(s9.note)
-    except ValueError as exc:
-        raise JobFileError(f"[parameters] milnors: {exc}") from None
     return results, anomalies, None
 
 
@@ -629,11 +615,9 @@ def _run_chern_check(job: JobSpec, oracle: bool):
               == chern_difference_inversion(c_tx, c_n))
     if not triple:
         anomalies.append("difference-class identities disagree symbolically")
-    try:
+    with _field(ks_field):
         integral = total_gsv_integral_projective(m, ks, d)
         closed = closed_form_gsv(m, ks, d)
-    except ValueError as exc:
-        raise JobFileError(f"{ks_field}: {exc}") from None
     if integral != closed:
         anomalies.append(
             f"integral {integral} != combinatorial closed form {closed}")

@@ -142,8 +142,6 @@ def _tangency(germ: CurveGerm, v: VectorFieldGerm, check):
     """``check(targets, gens)`` on the df_i(v) against <f>.  A non-member
     raises NotInvariantError naming its row; a spent budget raises
     IterationLimitError naming the tangency step."""
-    if germ.variables != v.variables:
-        raise ValueError("germ and field use different variable lists")
     targets = [directional_derivative(f, v) for f in germ.equations]
     try:
         return check(targets, IdealGens(germ.equations))

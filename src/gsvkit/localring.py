@@ -14,12 +14,13 @@ integer key ``deg << (W*n) | e_{n-1} << (W*(n-1)) | ... | e_0`` with W-bit
 exponent fields (Monagan-Pearce, *Sparse polynomial division using a
 heap*; Bachmann-Schoenemann, *Monomial representations for Groebner bases
 computations*).  The smallest key is the leading monomial of the local
-order, so a lead is ``min(p)``; multiplying by a monomial adds its key; the
-top bit of each exponent field is a guard bit, so ``a`` divides ``b``
-exactly when ``(b - a) & guard`` is 0, a borrow out of any field setting
-its guard bit; and the terms of degree below N are the keys below
-``N << (W*n)``.  Exponents must stay below the guard bit: a row whose
-degree reaches ``2**(W-1)`` raises IterationLimitError.
+order, so a lead is ``min(p)``, taken in ``_reducer`` alone: completion and
+normal form read each lead and ecart from its entries.  Multiplying by a
+monomial adds its key; the top bit of each exponent field is a guard bit,
+so ``a`` divides ``b`` exactly when ``(b - a) & guard`` is 0, a borrow out
+of any field setting its guard bit; and the terms of degree below N are the
+keys below ``N << (W*n)``.  Exponents must stay below the guard bit: a row
+whose degree reaches ``2**(W-1)`` raises IterationLimitError.
 
 A row is a list of ``{key: integer coefficient}`` dicts whose entries all
 undergo the same linear steps, so an invariant linear in the row, such as
@@ -248,12 +249,9 @@ def _mora(row, reducers, budget, nvars, cut=None):
     pool = list(reducers)
     h = row
     while h[0]:
-        h = _primitive(h)
-        p = h[0]
-        degree = max(p) >> shift
-        _check_degree(degree, "normal form")
-        lead = min(p)
-        lc = p[lead]
+        current = _reducer(_primitive(h), shift)
+        h, lead, lc, ecart = current
+        _check_degree(ecart + (lead >> shift), "normal form")
         best = None  # the first divisor of least ecart
         for entry in pool:
             if not (lead - entry[1]) & guard and (best is None
@@ -264,9 +262,8 @@ def _mora(row, reducers, budget, nvars, cut=None):
         if best is None:
             break
         budget.spend()
-        ecart = degree - (lead >> shift)
         if best[3] > ecart:
-            pool.append((h, lead, lc, ecart))
+            pool.append(current)
         other, lead_r, lc_r, _ = best
         g = gcd(lc, lc_r)
         h = _combine(abs(lc_r) // g, h, 0, (lc if lc_r > 0 else -lc) // g,

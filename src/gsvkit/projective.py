@@ -174,7 +174,9 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
     sum_{j=0}^{t} C(m+1, t-j) E_j with E_0 = 1.  Splitting off the first
     index l_1 = l of each multi-index leaves the multi-indices of j - l
     with one sign fewer, so E_j = -sum_{l=1}^{min(j, r)} e_l(k) E_{j-l}
-    (e_l = 0 above r), term for term the same sum in O((m-r) r) steps.
+    (e_l = 0 above r).  Summed over t first, E_j carries the weight
+    tail[m-r-j], where tail[n] = sum_{s=0}^{n} C(m+1, s) (d-1)^(n-s), so
+    tail[0] = 1 and tail[n] = (d-1) tail[n-1] + C(m+1, n): O((m-r) r) steps.
     For r = m-1 this collapses to prod(k) * (d + m - sum(k)).
     """
     ks = list(ks)
@@ -191,9 +193,10 @@ def closed_form_gsv(m: int, ks, d: int) -> int:
     for j in range(1, top + 1):
         big_e.append(-sum(e[l] * big_e[j - l]
                           for l in range(1, min(j, r) + 1)))
-    total = sum(comb(m + 1, t - j) * big_e[j] * (d - 1) ** (top - t)
-                for t in range(top + 1) for j in range(t + 1))
-    return total * prod(ks)
+    tail = [1]
+    for n in range(1, top + 1):
+        tail.append((d - 1) * tail[-1] + comb(m + 1, n))
+    return prod(ks) * sum(big_e[j] * tail[top - j] for j in range(top + 1))
 
 
 @dataclass(frozen=True)
@@ -285,12 +288,9 @@ def curve_germ_at(ci: ProjectiveCI, point: PointOnChart,
                   equation_order=None) -> CurveGerm:
     """Dehomogenize the curve on the point's chart and recentre it there,
     its equations permuted by ``equation_order`` (of range(r)) if given."""
-    m = ci.m
-    if not 0 <= point.chart <= m:
-        raise ValueError(f"chart must lie in 0..{m}")
-    if len(point.coords) != m:
-        raise ValueError(f"need {m} affine coordinates")
-    affine_eqs = dehomogenize_ci(ci, point.chart)
+    affine_eqs = dehomogenize_ci(ci, point.chart)  # checks the chart first
+    if len(point.coords) != ci.m:
+        raise ValueError(f"need {ci.m} affine coordinates")
     for i, f in enumerate(affine_eqs):
         if f.evaluate(point.coords):
             raise PointNotOnCurveError(

@@ -17,9 +17,7 @@ from gsvkit.localring import MACAULAY_MAX_DEGREE
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JOB = REPO / "golden" / "total_gsv_worked_example.job"
-GOLDEN_EXPECTED = REPO / "golden" / "total_gsv_worked_example.expected.json"
-CHERN_GOLDEN_JOB = REPO / "golden" / "chern_check_m13.job"
-CHERN_GOLDEN_EXPECTED = REPO / "golden" / "chern_check_m13.expected.json"
+GOLDEN_JOBS = sorted((REPO / "golden").glob("*.job"))
 
 TIMING = re.compile(r'"timing": [0-9.e+-]+')
 
@@ -65,18 +63,15 @@ def test_golden_byte_determinism(capsys):
 
 
 def test_golden_matches_stored_fixture(capsys):
-    _, out, _ = run_cli(capsys, "total-gsv", "--job", str(GOLDEN_JOB),
-                        "--quiet")
-    assert normalize(out).strip() == \
-        normalize(GOLDEN_EXPECTED.read_text()).strip()
-
-
-def test_chern_check_golden_matches_stored_fixture(capsys):
-    code, out, _ = run_cli(capsys, "chern-check", "--job",
-                           str(CHERN_GOLDEN_JOB), "--quiet")
-    assert code == 0
-    assert normalize(out).strip() == \
-        normalize(CHERN_GOLDEN_EXPECTED.read_text()).strip()
+    # every golden/<name>.job prints golden/<name>.expected.json in the mode
+    # the file names, timing aside
+    assert len(GOLDEN_JOBS) >= 4
+    for job in GOLDEN_JOBS:
+        mode = load_job(job.read_text()).mode
+        code, out, _ = run_cli(capsys, mode, "--job", str(job), "--quiet")
+        assert code == 0, job.name
+        expected = job.with_name(job.stem + ".expected.json").read_text()
+        assert normalize(out).strip() == normalize(expected).strip(), job.name
 
 
 def test_golden_oracle_agrees(capsys):
@@ -862,6 +857,10 @@ JOB_FILE_ERRORS = [
      "[parameters] r: need m >= 2 and 1 <= r <= m-1, got m=3, r=3"),
     ("bounds", BOUNDS_JOB + "rho = 99\n",
      "[parameters] rho: rho must lie in [0, 1], got 99"),
+    ("bounds", BOUNDS_JOB.replace("tau = 2", "tau = -1"),
+     "[parameters] tau: tau must be non-negative"),
+    ("poincare", POINCARE_JOB.replace("milnors = 2, 6", "milnors = 0"),
+     "[parameters] milnors: each listed singular point needs mu >= 1"),
     ("poincare", POINCARE_JOB.replace("ambient = 3", "ambient = 4"),
      "[curve] multidegree: the curve bound needs a multidegree of length m-1"),
     ("poincare", "[job]\nmode = poincare\nambient = 3\n"

@@ -125,6 +125,13 @@ def test_gsv_chart1():
     assert (report.tau, report.dim_vf, report.gsv) == (6, 1, -5)
 
 
+def test_gsv_rejects_a_field_on_other_variables():
+    with pytest.raises(ValueError,
+                       match="^germ and field use different variable lists$"):
+        local_gsv_curve(germ(*CUSP_GERM),
+                        field(*CHART1_FIELD, variables=Y3))
+
+
 def test_gsv_smooth_radial():
     report = local_gsv_curve(germ("x2", "x3"), field("x1", "x2", "x3"))
     assert report.gsv == 1

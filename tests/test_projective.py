@@ -17,6 +17,7 @@ from gsvkit.projective import (
     ProjectiveFoliation,
     affine_variables,
     closed_form_gsv,
+    curve_germ_at,
     dehomogenize_ci,
     dehomogenize_foliation,
     euler_characteristic_curve,
@@ -198,6 +199,17 @@ def test_soares_examples():
 
 # ---------------------------------------------------------------------------
 # certified totals
+
+def test_curve_germ_at_checks_chart_then_coordinates():
+    _, ci = worked_example()
+    with pytest.raises(ValueError, match=r"^chart must lie in 0\.\.3$"):
+        curve_germ_at(ci, PointOnChart(4, (0, 0, 0)))
+    with pytest.raises(ValueError, match=r"^need 3 affine coordinates$"):
+        curve_germ_at(ci, PointOnChart(0, (0, 0)))
+    # with both faults the chart is reported first
+    with pytest.raises(ValueError, match=r"^chart must lie in 0\.\.3$"):
+        curve_germ_at(ci, PointOnChart(4, (0, 0)))
+
 
 def worked_points():
     return [PointOnChart(0, (0, 0, 0)), PointOnChart(1, (0, 0, 0))]
