@@ -62,16 +62,24 @@ def test_golden_byte_determinism(capsys):
     assert normalize(first) == normalize(second)
 
 
+def assert_matches_fixture(capsys, mode, job):
+    # golden/<name>.job prints golden/<name>.expected.json, timing aside
+    code, out, _ = run_cli(capsys, mode, "--job", str(job), "--quiet")
+    assert code == 0, job.name
+    expected = job.with_name(job.stem + ".expected.json").read_text()
+    assert normalize(out).strip() == normalize(expected).strip(), job.name
+
+
 def test_golden_matches_stored_fixture(capsys):
-    # every golden/<name>.job prints golden/<name>.expected.json in the mode
-    # the file names, timing aside
+    # every golden job, in the mode its file names
     assert len(GOLDEN_JOBS) >= 4
     for job in GOLDEN_JOBS:
-        mode = load_job(job.read_text()).mode
-        code, out, _ = run_cli(capsys, mode, "--job", str(job), "--quiet")
-        assert code == 0, job.name
-        expected = job.with_name(job.stem + ".expected.json").read_text()
-        assert normalize(out).strip() == normalize(expected).strip(), job.name
+        assert_matches_fixture(capsys, load_job(job.read_text()).mode, job)
+
+
+def test_chern_check_golden_matches_stored_fixture(capsys):
+    assert_matches_fixture(capsys, "chern-check",
+                           REPO / "golden" / "chern_check_m13.job")
 
 
 def test_golden_oracle_agrees(capsys):
