@@ -68,10 +68,14 @@ bare rows of ``check_membership``, whose normal forms are taken in full.
 
 An independent Macaulay-matrix oracle, ``quotient_dim_macaulay``, is
 provided for cross-checks.  It keys each monomial as one integer whose
-digits are its degree and exponents, so that a row is multiplied by a
-monomial by adding that monomial's key, and it never inserts a multiple
-g*s*x_i of a row g*s that reduced to zero or was skipped: that row is a
-combination of earlier rows, whose multiples by x_i come earlier too, so
+digits are its degree and exponents, with its own power-of-two digit base
+and guard bits, so that a row is multiplied by a monomial by adding that
+monomial's key.  It works modulo the monomial ideal M of the single-term
+generators, whose quotient has the monomials outside M as a basis: M
+needs no rows, no multiple g*s with s in M is built, and every other row
+loses its terms in M.  It never inserts a multiple g*s*x_i of a row g*s
+that reduced to zero or was skipped: that row lies in the span of earlier
+rows plus M, and so do their multiples by x_i, which come earlier too, so
 the skipped multiple adds nothing to the span (the syzygy criterion of
 Faugere's F5).  Before the matrix is built, generators c*x_i + h with h
 one term free of x_i eliminate their x_i, which leaves every
@@ -81,10 +85,10 @@ dim O/(I + m^D) the same (Greuel-Pfister 1.5).
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import le
 
 from .errors import (
@@ -282,9 +286,9 @@ def _complete(rows, nvars, truncate=False):
     """
     budget = _Budget(DEFAULT_STEP_LIMIT)
     shift = _FIELD * nvars
-    for row in rows:
-        _check_degree(max(row[0]) >> shift, "completion")
     reducers = [_reducer(_primitive(row), shift) for row in rows]
+    for _, lead, _, ecart in reducers:
+        _check_degree(ecart + (lead >> shift), "completion")
     leads = [_exponents(entry[1], nvars) for entry in reducers]
     stairs = _staircase(leads, nvars) if truncate else None
     pairs = deque(itertools.combinations(range(len(reducers)), 2))
@@ -452,8 +456,11 @@ def _substitute(p, i, a, alpha):
             if sum(e) >= MACAULAY_MAX_DEGREE:
                 continue
             c *= a ** k
-        terms[e] = terms.get(e, 0) + c
-    return Polynomial(p.variables[:i] + p.variables[i + 1:], terms)
+        if e in terms:
+            c += terms.pop(e)
+        if c:  # else cancelled, or a = 0
+            terms[e] = c
+    return Polynomial._raw(p.variables[:i] + p.variables[i + 1:], terms)
 
 
 def _eliminate_linear(generators):
@@ -490,7 +497,7 @@ def _eliminate_linear(generators):
 def _echelon_insert(pivots, row):
     """Reduce the integer row ``{column key: coeff}`` against the ``pivots``
     (each keyed by its lowest column) and file what is left under its lowest
-    column.  True if the row filed a pivot, False if it reduced to zero.
+    column.  Returns that column, or None if the row reduced to zero.
 
     Each step scales the whole row, so the row stays an integer combination
     of the inserted rows and every entry sits at or after its pivot.
@@ -501,7 +508,7 @@ def _echelon_insert(pivots, row):
         if pivot is None:
             g = gcd(*row.values())
             pivots[lead] = {c: v // g for c, v in row.items()}
-            return True
+            return lead
         g = gcd(row[lead], pivot[lead])
         a, b = row[lead] // g, pivot[lead] // g
         if b != 1:
@@ -512,29 +519,38 @@ def _echelon_insert(pivots, row):
                 row[c] = acc
             else:
                 del row[c]
-    return False
+    return None
 
 
 def quotient_dim_macaulay(gens: IdealGens) -> int:
     """Quotient dimension by linear algebra, independent of standard bases.
 
-    One fraction-free echelon form of the monomial multiples g*s of the
-    generators, each row pivoting on its lowest column; the multiples of
-    lowest degree D-1 join it at step D.  A row has no entry below its
-    pivot, so the pivots of degree < D are the rank of the multiples cut
-    below degree D, and c(D) = C(D-1+n, n) - rank = dim O/(I + m^D).  At the
-    first D with c(D) = c(D-1), m^(D-1) lies in I + m^D, hence in I by
-    Nakayama's lemma, and c(D) is the dimension.
+    The single-term generators span a monomial ideal M in I, and O/M has
+    the monomials outside M as a basis (Cox-Little-O'Shea, *Ideals,
+    Varieties, and Algorithms*, 2.4 and 5.3).  So the scan runs in O/M: the
+    other generators g give one fraction-free echelon form of the monomial
+    multiples g*s, s outside M (a row g*s with s in M lies in M), each row
+    cut to its terms outside M and pivoting on its lowest column; the
+    multiples of lowest degree D-1 join it at step D.  A row has no entry
+    below its pivot, so the pivots of degree < D are the rank of the
+    multiples cut below degree D, and c(D) = (monomials of degree < D
+    outside M) - rank = dim O/(I + m^D).  At the first D with
+    c(D) = c(D-1), m^(D-1) lies in I + m^D, hence in I by Nakayama's lemma,
+    and c(D) is the dimension.  Every c(D) is the one the full matrix of
+    all generators gives.
 
-    A monomial e is the integer key deg(e)*B^n + sum(e_i*B^i), with B
-    above every exponent a multiple can reach, so keys order columns by
-    degree first, multiplying by s adds key(s) to every key, and the pivots
-    of degree < D are the keys below D*B^n.  Within a step the rows join by
-    generator, then multiplier key.  A multiple g*s of degree k = deg s >= 1
-    joins only if g*(s/x_i) filed a pivot at step D-1 for every x_i dividing
-    s: a row that reduced to zero is a combination of earlier rows, and
-    their multiples by x_i come before g*s, so every skipped row lies in the
-    span of the rows already inserted and no c(D) changes.
+    A monomial e is the integer key deg(e)*B^n + sum(e_i*B^i), with B a
+    power of two whose top bit lies above every exponent a multiple can
+    reach, so keys order columns by degree first, multiplying by s adds
+    key(s) to every key, and e lies in M exactly when (key(e) - key(u)) has
+    no top digit bit set for some generator u of M, a borrow out of any
+    digit setting its top bit.  Within a step the rows join by generator,
+    then multiplier key.  A multiple g*s of degree k = deg s >= 1 joins
+    only if g*(s/x_i) filed a pivot at step D-1 for every x_i dividing s: a
+    row that reduced to zero lies in the span of earlier rows plus M, and
+    the multiples by x_i of those rows come before g*s, so every skipped
+    row lies in the span of the rows already inserted plus M and no c(D)
+    changes (the syzygy criterion of Faugere's F5).
 
     The matrix is built after ``_eliminate_linear``: a generator c*x_i + h
     with h one term free of x_i removes x_i and itself, x_i -> -h/c going
@@ -550,40 +566,58 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
     """
     generators = _eliminate_linear(gens.generators)
     nvars = len(generators[0].variables)
-    base = 1 + MACAULAY_MAX_DEGREE + max(g.degree() for g in generators)
-    top = base ** nvars
-    variable_keys = [top + base ** i for i in range(nvars)]
+    width = (MACAULAY_MAX_DEGREE + max(g.degree() for g in generators)
+             ).bit_length() + 1
+    top = 1 << (width * nvars)
+    guard = sum(1 << (width * i + width - 1) for i in range(nvars))
+    variable_keys = [top + (1 << (width * i)) for i in range(nvars)]
 
     def key(e):
-        return sum(e) * top + sum(a * base ** i for i, a in enumerate(e))
+        return sum(e) * top + sum(a << (width * i) for i, a in enumerate(e))
+
+    m_generators = [key(e) for g in generators if len(g.terms) == 1
+                 for e in g.terms]
+
+    known = {}  # column key -> whether it lies outside M
+
+    def outside(k):
+        result = known.get(k)
+        if result is None:
+            result = known[k] = all((k - u) & guard for u in m_generators)
+        return result
 
     rows = []
     for g in generators:
-        scale = g.primitive_factor()
-        row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
-        rows.append((min(row)[0] // top, row))
-    multipliers = [[0]]  # by degree k: the keys of the monomials s, ascending
+        if len(g.terms) > 1:
+            scale = g.primitive_factor()
+            row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
+            rows.append((min(row)[0] // top, row))
+    multipliers = [[0] if outside(0) else []]  # by degree: s outside M
     dead = [set() for _ in rows]  # the s whose g*s filed no pivot, per step
+    filed = Counter()  # pivots by degree
     pivots: dict = {}
-    previous = None
+    corank, previous = 0, None
     for degree in range(1, MACAULAY_MAX_DEGREE + 1):
         for j, (low, row) in enumerate(rows):
             k = degree - 1 - low  # deg s, so that g*s starts at D-1
             if k < 0:
                 continue
-            if k == len(multipliers):
-                multipliers.append(sorted({s + x for s in multipliers[-1]
-                                           for x in variable_keys}))
             # skip g*s if some g*(s/x_i) filed no pivot at the last step
             dead[j] = {s + x for s in dead[j] for x in variable_keys}
             for s in multipliers[k]:
-                if s not in dead[j] and not _echelon_insert(
-                        pivots, {e + s: c for e, c in row}):
+                if s in dead[j]:
+                    continue
+                lead = _echelon_insert(pivots, {
+                    e + s: c for e, c in row if outside(e + s)})
+                if lead is None:
                     dead[j].add(s)
-        bound = degree * top
-        rank = sum(1 for c in pivots if c < bound)
-        corank = comb(degree - 1 + nvars, nvars) - rank
+                else:
+                    filed[lead // top] += 1
+        # every pivot of degree D-1 is filed by now: later rows start higher
+        corank += len(multipliers[-1]) - filed[degree - 1]
         if previous == corank:
             return corank
         previous = corank
+        multipliers.append(sorted({s + x for s in multipliers[-1]
+                                   for x in variable_keys if outside(s + x)}))
     raise InfiniteDimensionError(_UNSTABLE)

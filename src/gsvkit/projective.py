@@ -145,19 +145,12 @@ def dehomogenize_foliation(fol: ProjectiveFoliation,
     homogeneous field by the radial direction in chart coordinates.
     """
     m = fol.m
-    if not 0 <= chart <= m:
-        raise ValueError(f"chart must lie in 0..{m}")
+    affine = [dehomogenize_poly(a, chart, m) for a in fol.components]
+    pivot = affine.pop(chart)
     variables = affine_variables(m)
-    pivot = dehomogenize_poly(fol.components[chart], chart, m)
-    comps = []
-    for j in range(m + 1):
-        if j == chart:
-            continue
-        affine_index = j if j < chart else j - 1
-        a_j = dehomogenize_poly(fol.components[j], chart, m)
-        x_j = Polynomial.variable(variables, affine_index)
-        comps.append(a_j - x_j * pivot)
-    return VectorFieldGerm(tuple(comps))
+    return VectorFieldGerm(tuple(
+        a_j - Polynomial.variable(variables, j) * pivot
+        for j, a_j in enumerate(affine)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mora division, standard bases, quotient dimensions and the oracle."""
 
 import itertools
+import math
 import operator
 import random
 import time
@@ -130,6 +131,11 @@ def test_exponent_field_guard():
     with pytest.raises(IterationLimitError,
                        match=f"degree {power} in the completion"):
         quotient_dim(gens(f"x^{power}", variables=X1))
+    # the first row too large is named, by its top degree, not its lead
+    with pytest.raises(IterationLimitError,
+                       match=f"degree {power + 1} in the completion"):
+        quotient_dim(gens("x^2", f"x + x^{power + 1}", f"x^{power}",
+                          variables=X1))
     with pytest.raises(IterationLimitError,
                        match=f"degree {power} in the normal form"):
         membership_with_cofactors([P(f"x^{power}", X1)],
@@ -648,6 +654,23 @@ def test_oracle_on_ci_batch_tjurina_ideal():
         quotient_dim_macaulay(IdealGens(ideal.generators[:3]))
 
 
+def counted_inserts(monkeypatch, rows=None):
+    """Whether each ``_echelon_insert`` call filed a pivot, in order; with
+    ``rows``, a copy of each inserted row is appended to it too."""
+    filed = []
+    insert = localring._echelon_insert
+
+    def counted(pivots, row):
+        if rows is not None:
+            rows.append(dict(row))
+        lead = insert(pivots, row)
+        filed.append(lead is not None)
+        return lead
+
+    monkeypatch.setattr(localring, "_echelon_insert", counted)
+    return filed
+
+
 def test_oracle_skips_multiples_of_dependent_rows(monkeypatch):
     # the heaviest Tjurina ideal of a ci-batch cycle: eliminating every
     # multiple g*s took 4,281 rows, 2,023 of which reduced to zero
@@ -655,14 +678,7 @@ def test_oracle_skips_multiples_of_dependent_rows(monkeypatch):
                  "60*x2^3*x3^2", "48*x1*x2^3*x4", "90*x1^2*x3^2*x4",
                  "24*x2^3*x3^2*x4", variables=X4)
     assert quotient_dim(ideal) == 75
-    filed = []
-    insert = localring._echelon_insert
-
-    def counted(pivots, row):
-        filed.append(insert(pivots, row))
-        return filed[-1]
-
-    monkeypatch.setattr(localring, "_echelon_insert", counted)
+    filed = counted_inserts(monkeypatch)
     assert quotient_dim_macaulay(ideal) == 75
     assert filed.count(False) < 100
     assert len(filed) < 3000
@@ -677,19 +693,6 @@ def test_oracle_keys_at_the_edges():
     # ... and one more is past it
     with pytest.raises(InfiniteDimensionError):
         quotient_dim_macaulay(gens("x^24", "y", variables=X2))
-
-
-def counted_inserts(monkeypatch):
-    """The outcomes of every ``_echelon_insert`` call, in order."""
-    filed = []
-    insert = localring._echelon_insert
-
-    def counted(pivots, row):
-        filed.append(insert(pivots, row))
-        return filed[-1]
-
-    monkeypatch.setattr(localring, "_echelon_insert", counted)
-    return filed
 
 
 def eliminated_variables(ideal):
@@ -740,7 +743,8 @@ def test_oracle_keys_at_the_edges_on_the_full_matrix():
 
 def test_oracle_eliminates_a_cascade(monkeypatch):
     # the corank-81 Tjurina ideal of a ci-batch cycle: x3^4 + 3*x1 removes
-    # x1, and the matrix in x2, x3, x4 files 1,698 rows (8,968 in all four)
+    # x1, and the matrix in x2, x3, x4 modulo the monomial generators files
+    # 402 rows (1,698 with them, 8,968 in all four variables)
     ideal = gens("x2^4 + 5*x1^3", "x3^4 + 3*x1", "x4^2 + 2*x1",
                  "32*x2^3*x3^3", "-24*x2^3*x4", "120*x1^2*x3^3*x4",
                  "32*x2^3*x3^3*x4", variables=X4)
@@ -748,7 +752,7 @@ def test_oracle_eliminates_a_cascade(monkeypatch):
     assert quotient_dim(ideal) == 81
     filed = counted_inserts(monkeypatch)
     assert quotient_dim_macaulay(ideal) == 81
-    assert len(filed) == 1698
+    assert len(filed) == 402
     # x1 -> x3^2, then x2 -> x1*x3 = x3^3: one variable is left
     ideal = gens("x1 - x3^2", "x2 - x1*x3", "x3^5")
     assert _eliminate_linear(ideal.generators) == [P("x3^5", ("x3",))]
@@ -791,6 +795,135 @@ def test_oracle_of_a_unit_ideal_is_zero():
     # the pass leaves an ideal with a unit alone, and the matrix gives 0
     assert quotient_dim_macaulay(gens("x1 - x2", "1 + x3")) == 0
     assert quotient_dim_macaulay(gens("2 - x^2", variables=X1)) == 0
+
+
+def test_oracle_values_with_monomial_generators():
+    assert quotient_dim_macaulay(gens("x^3", "y^2", "x*y", variables=X2)) == 4
+    with pytest.raises(InfiniteDimensionError):
+        quotient_dim_macaulay(gens("x*y", "y^2", variables=X2))
+    assert quotient_dim_macaulay(gens("2", variables=X2)) == 0
+    assert quotient_dim_macaulay(gens("1 + x", "y", variables=X2)) == 0
+    assert quotient_dim_macaulay(
+        gens("x^2*y", "x^3 - y^5", "y^3*x", variables=X2)) == 10
+    assert quotient_dim_macaulay(
+        gens("6*x^4", "10*y^3", "x^2*y^2 - 3*x^3*y", variables=X2)) == 10
+
+
+def test_oracle_has_no_rows_in_the_monomial_ideal(monkeypatch):
+    # a monomial ideal needs no row at all
+    filed = counted_inserts(monkeypatch)
+    assert quotient_dim_macaulay(gens("x^3", "y^2", "x*y", variables=X2)) == 4
+    assert filed == []
+    # modulo M = <y^2>, x^5 + y^3 is x^5: its rows are the single terms
+    # x^5*s for s = 1, x, y, x^2, x*y, x^3, x^2*y, never y^2 in M.  The
+    # full matrix inserts 25 rows here, 18 of them rows of y^2 or of two
+    # terms
+    rows = []
+    filed = counted_inserts(monkeypatch, rows)
+    assert quotient_dim_macaulay(gens("y^2", "x^5 + y^3", variables=X2)) == 10
+    assert filed == [True] * 7
+    assert all(len(row) == 1 for row in rows)
+
+
+def full_matrix_dim(ideal):
+    """dim O/I from the Macaulay scan over every generator, monomial ones
+    included, after the same elimination of solvable variables: c(D) =
+    C(D-1+n, n) - (pivots of degree < D), with the zero-row criterion."""
+    generators = _eliminate_linear(ideal.generators)
+    n = len(generators[0].variables)
+    base = 1 + localring.MACAULAY_MAX_DEGREE + max(
+        g.degree() for g in generators)
+    top = base ** n
+    variable_keys = [top + base ** i for i in range(n)]
+
+    def key(e):
+        return sum(e) * top + sum(a * base ** i for i, a in enumerate(e))
+
+    rows = []
+    for g in generators:
+        scale = g.primitive_factor()
+        row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
+        rows.append((min(row)[0] // top, row))
+
+    def insert(pivots, row):
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: v // g for c, v in row.items()}
+                return True
+            g = gcd(row[lead], pivot[lead])
+            a, b = row[lead] // g, pivot[lead] // g
+            row = {c: v * b for c, v in row.items()}
+            for c, v in pivot.items():
+                acc = row.get(c, 0) - v * a
+                if acc:
+                    row[c] = acc
+                else:
+                    del row[c]
+        return False
+
+    multipliers = [[0]]
+    dead = [set() for _ in rows]
+    pivots = {}
+    previous = None
+    for degree in range(1, localring.MACAULAY_MAX_DEGREE + 1):
+        for j, (low, row) in enumerate(rows):
+            k = degree - 1 - low
+            if k < 0:
+                continue
+            if k == len(multipliers):
+                multipliers.append(sorted({s + x for s in multipliers[-1]
+                                           for x in variable_keys}))
+            dead[j] = {s + x for s in dead[j] for x in variable_keys}
+            for s in multipliers[k]:
+                if s not in dead[j] and not insert(
+                        pivots, {e + s: c for e, c in row}):
+                    dead[j].add(s)
+        rank = sum(1 for c in pivots if c < degree * top)
+        corank = math.comb(degree - 1 + n, n) - rank
+        if previous == corank:
+            return corank
+        previous = corank
+    raise InfiniteDimensionError("no corank repeats")
+
+
+def random_small_ideal(rng):
+    """Two to four generators in C^2 or C^3 of one to three terms of
+    degree 1 to 3, many of them single terms: finite and infinite
+    quotients alike."""
+    variables = (X2, X3)[rng.randrange(2)]
+    n = len(variables)
+    generators = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {}
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            exps = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(n)] += 1
+            terms[tuple(exps)] = rng.choice([-3, -1, 1, 2, 5])
+        generators.append(Polynomial(variables, terms))
+    return IdealGens(tuple(generators))
+
+
+def test_oracle_matches_the_full_matrix_on_seeded_ideals():
+    rng = random.Random(34)
+    verdicts = []
+    for _ in range(60):
+        ideal = random_small_ideal(rng)
+        try:
+            expected = full_matrix_dim(ideal)
+        except InfiniteDimensionError:
+            expected = None
+        try:
+            got = quotient_dim_macaulay(ideal)
+        except InfiniteDimensionError:
+            got = None
+        assert got == expected, ideal
+        verdicts.append(got is None)
+    # both verdicts occur
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 PRIME = 2 ** 31 - 1

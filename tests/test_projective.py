@@ -68,6 +68,14 @@ def test_dehomogenize_foliation_chart1():
     assert [str(c) for c in field.components] == ["-6*x1", "-4*x2", "-3*x3"]
 
 
+def test_dehomogenize_foliation_rejects_a_chart_out_of_range():
+    fol, _ = worked_example()
+    # a negative chart must not pick a component from the end
+    for chart in (-1, 4):
+        with pytest.raises(ValueError, match=r"^chart must lie in 0\.\.3$"):
+            dehomogenize_foliation(fol, chart)
+
+
 def test_dehomogenize_radial_field_vanishes():
     radial = ProjectiveFoliation(
         3, 1, (PZ("z0"), PZ("z1"), PZ("z2"), PZ("z3")))
