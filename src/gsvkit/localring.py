@@ -57,6 +57,13 @@ The stored basis rows are not rewritten when N moves: N only shrinks, so
 each row is an element of I or agrees with one modulo m^N' for an older
 N' >= N, where m^N' lies in m^N and so in I, and every combination drops
 the terms of degree >= N from both of its operands.
+The pairs are taken first in, first out, and two kinds are never formed
+because their S-polynomial is 0 by construction: a pair of single-term
+rows, whose scaled terms cancel exactly, and, once there is a corner, a
+pair whose lcm has degree >= N, since every term of x^(lcm - lead) * row
+has degree >= deg(lcm) under the local order and the cut drops it.  Either
+S-polynomial would reduce to a zero first entry and be discarded, so the
+completion adds the same elements in the same order without them.
 The staircase is walked once on the generators' leads and again whenever
 an element joins the basis; that walk gives N and the count that
 ``quotient_dim`` returns.  N must be this exact corner: a looser N from the
@@ -239,9 +246,10 @@ def _reducer(row, shift):
     return row, lead, p[lead], (max(p) >> shift) - (lead >> shift)
 
 
-def _mora(row, reducers, budget, nvars, cut=None):
+def _mora(row, reducers, budget, nvars, guard, cut=None):
     """Weak normal form of ``row[0]`` against the ``reducers`` (entries of
-    ``_reducer``), with every step applied to the whole row.
+    ``_reducer``), with every step applied to the whole row; ``guard`` is
+    ``_guard(nvars)``.
 
     The returned row r satisfies u * row[0] = sum(q_k * reducer_k[0]) + r[0]
     up to a positive scale, for some unit u and polynomials q_k, and r is
@@ -249,7 +257,6 @@ def _mora(row, reducers, budget, nvars, cut=None):
     the identity holds modulo m^N and r[0] has no term of degree >= N.
     """
     shift = _FIELD * nvars
-    guard = _guard(nvars)
     pool = list(reducers)
     h = row
     while h[0]:
@@ -286,6 +293,7 @@ def _complete(rows, nvars, truncate=False):
     """
     budget = _Budget(DEFAULT_STEP_LIMIT)
     shift = _FIELD * nvars
+    guard = _guard(nvars)
     reducers = [_reducer(_primitive(row), shift) for row in rows]
     for _, lead, _, ecart in reducers:
         _check_degree(ecart + (lead >> shift), "completion")
@@ -297,14 +305,18 @@ def _complete(rows, nvars, truncate=False):
         i, j = pairs.popleft()
         row_i, lead_i, lc_i, _ = reducers[i]
         row_j, lead_j, lc_j, _ = reducers[j]
+        if len(row_i[0]) == 1 == len(row_j[0]):
+            continue  # two monomials: the S-polynomial is 0
         both = _key(tuple(map(max, leads[i], leads[j])))
         if both == lead_i + lead_j:
             continue  # product criterion
+        if cut is not None and both >= cut:
+            continue  # every term of the S-polynomial has degree >= N
         g = gcd(lc_i, lc_j)
         a = abs(lc_j) // g if lc_i > 0 else -abs(lc_j) // g
         b = abs(lc_i) // g if lc_j > 0 else -abs(lc_i) // g
         s = _combine(a, row_i, both - lead_i, b, row_j, both - lead_j, cut)
-        rem = _mora(s, reducers, budget, nvars, cut)
+        rem = _mora(s, reducers, budget, nvars, guard, cut)
         if not rem[0]:
             continue
         reducers.append(_reducer(rem, shift))
@@ -374,9 +386,10 @@ def _reduce_targets(targets, gens: IdealGens, wide: bool):
                                 for g, tail in zip(gens.generators, tails)],
                                nvars)
     budget = _Budget(DEFAULT_STEP_LIMIT)
+    guard = _guard(nvars)
     rems = []
     for index, p in enumerate(targets):
-        rem = _mora(_pack((p,) + start), reducers, budget, nvars)
+        rem = _mora(_pack((p,) + start), reducers, budget, nvars, guard)
         if rem[0]:
             normal_form = _unpack(rem[:1], variables,
                                   gcd(*rem[0].values()))[0]

@@ -5,6 +5,12 @@ tuples to nonzero ``Fraction`` coefficients.  Everything is immutable by
 convention: arithmetic returns fresh objects and never mutates inputs, so
 values are safe to share across concurrent computations.
 
+A product, and df(v) in ``indices.directional_derivative``, is formed on
+integer numerators: each factor's coefficients are cleared to integers
+over one denominator, the products of terms are summed as integers, and
+one ``Fraction`` is built per term of the result, so the stored
+coefficients are still nonzero ``Fraction``s.
+
 Printing lists the terms in degree-reverse-lexicographic order.  The local
 order under which leading terms, division and quotient dimensions are
 taken lives in ``localring``, its only user.
@@ -15,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import neg
+from operator import add, neg
 
 from .errors import (
     PolynomialSyntaxError,
@@ -28,10 +34,6 @@ Exponents = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # monomials (bare exponent tuples)
-
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def _print_key(exps: Exponents):
     """Degrevlex sort key for printing: larger key is printed first."""
@@ -61,6 +63,30 @@ def _accumulate(pairs, terms=None) -> dict[Exponents, Fraction]:
         else:
             acc[exps] = coeff
     return acc
+
+
+def _numerators(terms) -> tuple[int, dict[Exponents, int]]:
+    """(den, numerators): the least positive den with every ``den * c``
+    an integer, and those integers by monomial."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
+
+
+def _products(factors, den: int) -> dict[Exponents, Fraction]:
+    """The terms of sum(a * b for a, b in factors) / den, for pairs of
+    integer-coefficient term dicts: the products are summed as integers and
+    one Fraction is built per nonzero term of the sum."""
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for a, b in factors:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    return {e: Fraction(c, den) for e, c in acc.items() if c}
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -175,10 +201,10 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_variables(other)
-            return Polynomial._raw(self.variables, _accumulate(
-                (monomial_mul(e1, e2), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in other.terms.items()))
+            den_a, a = _numerators(self.terms)
+            den_b, b = _numerators(other.terms)
+            return Polynomial._raw(self.variables,
+                                   _products([(a, b)], den_a * den_b))
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
@@ -276,13 +302,8 @@ class Polynomial:
         """Positive c with c*self having coprime integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        return Fraction(den, num)
+        den, numerators = _numerators(self.terms)
+        return Fraction(den, gcd(*numerators.values()))
 
     # -- comparison / hashing / text ----------------------------------------
 

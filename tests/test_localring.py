@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -163,7 +164,7 @@ def mora(p, g, steps=10 ** 6):
                          _FIELD * nvars)
                 for i, gen in enumerate(g.generators)]
     row = _mora(_pack((p, column(1)) + (zero,) * n), reducers,
-                _Budget(steps), nvars)
+                _Budget(steps), nvars, _guard(nvars))
     rem, unit, *cof = _unpack(row, p.variables, row[1][0])
     return unit, [-c for c in cof], rem
 
@@ -431,6 +432,42 @@ def test_quotient_dim_walks_once_per_new_element(monkeypatch):
     assert walks == list(range(generators, len(reducers) + 1))
     assert walked == len(walks)
     assert stairs == walk(leads, 3) == (5, 4)
+
+
+def test_completion_forms_no_dead_s_pair(monkeypatch):
+    # an S-polynomial whose lcm has degree >= the corner N is 0 modulo
+    # m^N, and one of two single-term rows is 0: neither is formed
+    formed = []
+    combine = localring._combine
+    shift = _FIELD * 3
+
+    def spy(a, row, shift_a, b, other, shift_b, cut=None):
+        if sys._getframe(1).f_code.co_name == "_complete":
+            lcm_degree = (min(row[0]) + shift_a) >> shift
+            formed.append((lcm_degree, None if cut is None else cut >> shift,
+                           len(row[0]), len(other[0])))
+        return combine(a, row, shift_a, b, other, shift_b, cut)
+
+    monkeypatch.setattr(localring, "_combine", spy)
+    assert quotient_dim(gens("x1 - x2^3", "x3^2 - x1", "x2*x3")) == 5
+    # the pair of the single-term elements x2*x3 and x2^4, whose lcm has
+    # degree 5 >= N = 4, is not formed
+    assert len(formed) == 2
+    for lcm_degree, corner, terms_i, terms_j in formed:
+        assert corner is None or lcm_degree < corner
+        assert max(terms_i, terms_j) > 1
+
+
+def test_sweep_ideal_104_is_rejected_fast():
+    # a C^3 ideal of a seeded random sweep on which a pair order by lcm
+    # degree runs for seconds; first in, first out rejects it at once
+    ideal = gens("2*x0^2*x2 + 2*x0*x1*x2", "5*x0*x1 - x2^2 + 2*x0 + 5*x2",
+                 "-3*x0^2*x1^2*x2 - x1^2*x2^2 - 3*x0^2 + 2*x0*x2",
+                 "-3*x1^2*x2^2 + x0^2 - 3*x0", variables=("x0", "x1", "x2"))
+    start = time.perf_counter()
+    with pytest.raises(InfiniteDimensionError):
+        quotient_dim(ideal)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Polynomial arithmetic, print order, minors, translation and the parser."""
+"""Polynomial arithmetic, df(v), print order, minors, translation and the
+parser."""
 
 import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from gsvkit.errors import (
     UnknownVariableError,
     VariableMismatchError,
 )
+from gsvkit.indices import VectorFieldGerm, directional_derivative
 from gsvkit.poly import Polynomial, jacobian_minors, parse_polynomial
 
 Z4 = ("z0", "z1", "z2", "z3")
@@ -139,6 +143,73 @@ def test_variable_mismatch():
 def test_scalar_multiplication():
     assert 3 * P("x1") == P("3*x1")
     assert P("x1") * Fraction(1, 2) == P("1/2*x1")
+
+
+# ---------------------------------------------------------------------------
+# products on integer numerators
+
+def fraction_sum(pairs):
+    """Add (exponents, Fraction) pairs one Fraction at a time, dropping
+    each sum that cancels: how products were formed before they were
+    accumulated on integer numerators."""
+    terms = {}
+    for exps, coeff in pairs:
+        total = terms.get(exps, 0) + coeff
+        if total:
+            terms[exps] = total
+        else:
+            terms.pop(exps, None)
+    return terms
+
+
+def seeded_polynomial(rng):
+    """0-5 terms of degree <= 2 in each variable, with coefficients n/d for
+    d in 1, 2, 3, 6, 7; a coefficient 0 drops its term."""
+    return Polynomial(X3, {
+        tuple(rng.randint(0, 2) for _ in X3):
+            Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6, 7)))
+        for _ in range(rng.randint(0, 5))})
+
+
+def assert_canonical(p):
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+def test_product_matches_fraction_arithmetic():
+    rng = random.Random(35)
+    # the cross terms cancel, and so does every term of a product with 0
+    pairs = [(P("x1 + 1/2*x2"), P("2/3*x1 - 1/3*x2")),
+             (P("2/7*x1*x3 - 1/6"), P("0"))]
+    pairs += [(seeded_polynomial(rng), seeded_polynomial(rng))
+              for _ in range(300)]
+    assert pairs[0][0] * pairs[0][1] == P("2/3*x1^2 - 1/6*x2^2")
+    for p, q in pairs:
+        got = p * q
+        assert got.terms == fraction_sum(
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for e1, c1 in p.terms.items() for e2, c2 in q.terms.items())
+        assert_canonical(got)
+
+
+def test_directional_derivative_matches_fraction_arithmetic():
+    rng = random.Random(36)
+    # d(x1*x2/2)(x1/3, -x2/3, 0) cancels to 0
+    cases = [(P("1/2*x1*x2"), (P("1/3*x1"), P("-1/3*x2"), P("0")))]
+    for _ in range(300):
+        components = [seeded_polynomial(rng) for _ in X3]
+        components[rng.randrange(3)] = P("0")
+        cases.append((seeded_polynomial(rng), tuple(components)))
+    f, components = cases[0]
+    assert directional_derivative(f, VectorFieldGerm(components)).is_zero()
+    for f, components in cases:
+        got = directional_derivative(f, VectorFieldGerm(components))
+        assert got.terms == fraction_sum(
+            (tuple(map(operator.add, e1[:i] + (e1[i] - 1,) + e1[i + 1:], e2)),
+             c1 * e1[i] * c2)
+            for i, comp in enumerate(components)
+            for e1, c1 in f.terms.items() if e1[i]
+            for e2, c2 in comp.terms.items())
+        assert_canonical(got)
 
 
 # ---------------------------------------------------------------------------
