@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .errors import (
     InfiniteDimensionError,
@@ -44,7 +44,7 @@ from .localring import (
     membership_with_cofactors,
     quotient_dim,
 )
-from .poly import Polynomial, _numerators, _products, jacobian_minors
+from .poly import Polynomial, _dot, jacobian_minors
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,11 @@ class VectorFieldGerm:
 
 def directional_derivative(f: Polynomial, v: VectorFieldGerm) -> Polynomial:
     """df(v) = sum_i (df/dx_i) * v_i, as one integer accumulation over the
-    common denominator of f and v."""
+    common denominator of its products."""
     if f.variables != v.variables:
         raise ValueError("germ and field use different variable lists")
-    den_f, f_num = _numerators(f.terms)
-    fields = [_numerators(comp.terms) for comp in v.components]
-    den_v = lcm(*(den for den, _ in fields))
-    # each pair multiplies out to den_f * den_v * (df/dx_i) * v_i
-    factors = [({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] * (den_v // den)
-                 for e, c in f_num.items() if e[i]}, comp)
-               for i, (den, comp) in enumerate(fields)]
-    return Polynomial._raw(f.variables, _products(factors, den_f * den_v))
+    return _dot(f.variables, [(f.partial_derivative(i), comp)
+                              for i, comp in enumerate(v.components)])
 
 
 @dataclass(frozen=True)

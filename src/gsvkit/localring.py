@@ -9,7 +9,10 @@ for local orders; completion is Buchberger-style over S-pairs with the
 product criterion.
 
 Both work on packed integer rows, converted from and to ``Polynomial`` only
-at this module's public functions.  A monomial in n variables is one
+at this module's public functions.  A polynomial already holds integer
+numerators over one denominator, so packing a row rewrites their exponent
+tuples as keys over the lcm of the row's denominators, and unpacking puts
+the integers back over a scale.  A monomial in n variables is one
 integer key ``deg << (W*n) | e_{n-1} << (W*(n-1)) | ... | e_0`` with W-bit
 exponent fields (Monagan-Pearce, *Sparse polynomial division using a
 heap*; Bachmann-Schoenemann, *Monomial representations for Groebner bases
@@ -94,7 +97,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import le
 
@@ -179,29 +181,28 @@ def _check_degree(degree, step):
 
 
 def _pack(polys):
-    """The row of ``polys`` over one positive common denominator."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    return [{_key(e): c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys]
+    """The row of ``polys``: their numerators over the lcm of their
+    denominators, keyed by ``_key``."""
+    den = lcm(*(p.den for p in polys))
+    return [{_key(e): c * (den // p.den) for e, c in p.nums.items()}
+            for p in polys]
 
 
 def _unpack(row, variables, scale):
-    """The entries of ``row`` as polynomials, divided by ``scale``."""
+    """The entries of ``row`` as polynomials, each numerators over the
+    nonzero ``scale``."""
     nvars = len(variables)
     shift = _FIELD * nvars
     polys = []
     for entry in row:
-        terms = {}
+        nums = {}
         for key, c in entry.items():
             exps = _exponents(key, nvars)
             if sum(exps) != key >> shift:  # a carry out of an exponent field
                 raise InternalCheckError(
                     f"exponent past {_MASK} in a local standard basis row")
-            terms[exps] = Fraction(c, scale)
-        polys.append(Polynomial._raw(variables, terms))
+            nums[exps] = c
+        polys.append(Polynomial._of(variables, nums, scale))
     return tuple(polys)
 
 
@@ -441,39 +442,43 @@ _UNSTABLE = (f"Macaulay corank did not stabilize by degree "
 
 
 def _solved_variable(g):
-    """(i, a, alpha) when g = c*x_i + h with h one term free of x_i, or 0,
-    so that g = 0 reads x_i = a*x^alpha (alpha without x_i); else None."""
+    """(i, a, b, alpha) when g = c*x_i + h with h one term free of x_i, or
+    0, so that g = 0 reads x_i = (a/b)*x^alpha (alpha without x_i, b != 0);
+    else None."""
     n = len(g.variables)
-    if len(g.terms) > 2:
+    if len(g.nums) > 2:
         return None
     for i in range(n):
         linear = tuple(int(k == i) for k in range(n))
-        if linear in g.terms and sum(1 for e in g.terms if e[i]) == 1:
-            if len(g.terms) == 1:
-                return i, 0, (0,) * (n - 1)
-            (e, b), = [(e, b) for e, b in g.terms.items() if e != linear]
-            return i, -b / g.terms[linear], e[:i] + e[i + 1:]
+        if linear in g.nums and sum(1 for e in g.nums if e[i]) == 1:
+            if len(g.nums) == 1:
+                return i, 0, 1, (0,) * (n - 1)
+            (e, c), = [(e, c) for e, c in g.nums.items() if e != linear]
+            return i, -c, g.nums[linear], e[:i] + e[i + 1:]
     return None
 
 
-def _substitute(p, i, a, alpha):
-    """``p`` with x_i -> a*x^alpha and x_i dropped from the variables,
+def _substitute(p, i, a, b, alpha):
+    """``p`` with x_i -> (a/b)*x^alpha and x_i dropped from the variables,
     without the terms of degree >= MACAULAY_MAX_DEGREE that the
-    substitution makes."""
-    terms: dict = {}
-    for e, c in p.terms.items():
+    substitution makes: each x_i^k becomes a^k * b^(t-k) * x^(k*alpha)
+    over b^t, t the top power of x_i in p."""
+    t = max(e[i] for e in p.nums)
+    nums: dict = {}
+    for e, c in p.nums.items():
         k = e[i]
         e = e[:i] + e[i + 1:]
         if k:
-            e = tuple(b + k * f for b, f in zip(e, alpha))
+            e = tuple(d + k * f for d, f in zip(e, alpha))
             if sum(e) >= MACAULAY_MAX_DEGREE:
                 continue
-            c *= a ** k
-        if e in terms:
-            c += terms.pop(e)
+        c *= a ** k * b ** (t - k)
+        if e in nums:
+            c += nums.pop(e)
         if c:  # else cancelled, or a = 0
-            terms[e] = c
-    return Polynomial._raw(p.variables[:i] + p.variables[i + 1:], terms)
+            nums[e] = c
+    return Polynomial._of(p.variables[:i] + p.variables[i + 1:], nums,
+                          p.den * b ** t)
 
 
 def _eliminate_linear(generators):
@@ -588,8 +593,8 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
     def key(e):
         return sum(e) * top + sum(a << (width * i) for i, a in enumerate(e))
 
-    m_generators = [key(e) for g in generators if len(g.terms) == 1
-                 for e in g.terms]
+    m_generators = [key(e) for g in generators if len(g.nums) == 1
+                    for e in g.nums]
 
     known = {}  # column key -> whether it lies outside M
 
@@ -601,9 +606,8 @@ def quotient_dim_macaulay(gens: IdealGens) -> int:
 
     rows = []
     for g in generators:
-        if len(g.terms) > 1:
-            scale = g.primitive_factor()
-            row = [(key(e), int(c * scale)) for e, c in g.terms.items()]
+        if len(g.nums) > 1:
+            row = [(key(e), c) for e, c in g.nums.items()]
             rows.append((min(row)[0] // top, row))
     multipliers = [[0] if outside(0) else []]  # by degree: s outside M
     dead = [set() for _ in rows]  # the s whose g*s filed no pivot, per step

@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over the exact rationals.
 
-A polynomial stores an ordered variable tuple and a dict mapping exponent
-tuples to nonzero ``Fraction`` coefficients.  Everything is immutable by
+A polynomial stores an ordered variable tuple, one positive integer
+denominator ``den`` and a dict ``nums`` mapping exponent tuples to nonzero
+integer numerators, in lowest terms: ``den`` and the numerators have gcd 1,
+and the zero polynomial has ``den`` 1, so equal polynomials store equal
+values.  Sums, products, derivatives and substitutions are integer
+arithmetic on the numerators, followed, only when the denominator is above
+1, by one gcd that restores lowest terms.  ``terms`` gives the coefficients
+as ``Fraction``s for code outside the library.  Everything is immutable by
 convention: arithmetic returns fresh objects and never mutates inputs, so
 values are safe to share across concurrent computations.
-
-A product, and df(v) in ``indices.directional_derivative``, is formed on
-integer numerators: each factor's coefficients are cleared to integers
-over one denominator, the products of terms are summed as integers, and
-one ``Fraction`` is built per term of the result, so the stored
-coefficients are still nonzero ``Fraction``s.
 
 Printing lists the terms in degree-reverse-lexicographic order.  The local
 order under which leading terms, division and quotient dimensions are
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
-from operator import add, neg
+from math import comb, gcd, lcm, prod
+from operator import add
 
 from .errors import (
     PolynomialSyntaxError,
@@ -43,12 +43,11 @@ def _print_key(exps: Exponents):
 # ---------------------------------------------------------------------------
 # polynomials
 
-def _accumulate(pairs, terms=None) -> dict[Exponents, Fraction]:
-    """Add (exponents, nonzero coefficient) pairs into a copy of ``terms``.
+def _accumulate(pairs, terms=None) -> dict[Exponents, int]:
+    """Add (exponents, nonzero numerator) pairs into a copy of ``terms``.
 
-    A new monomial keeps its coefficient as given, with no arithmetic, and
-    every sum that cancels is dropped, so the result is canonical when
-    ``terms`` is.
+    A new monomial keeps its numerator as given, and every sum that cancels
+    is dropped, so no zero is stored.
     """
     acc = dict(terms) if terms else {}
     get = acc.get
@@ -65,84 +64,85 @@ def _accumulate(pairs, terms=None) -> dict[Exponents, Fraction]:
     return acc
 
 
-def _numerators(terms) -> tuple[int, dict[Exponents, int]]:
-    """(den, numerators): the least positive den with every ``den * c``
-    an integer, and those integers by monomial."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    return den, {e: c.numerator * (den // c.denominator)
-                 for e, c in terms.items()}
-
-
-def _products(factors, den: int) -> dict[Exponents, Fraction]:
-    """The terms of sum(a * b for a, b in factors) / den, for pairs of
-    integer-coefficient term dicts: the products are summed as integers and
-    one Fraction is built per nonzero term of the sum."""
+def _dot(variables, pairs) -> "Polynomial":
+    """sum(p * q for p, q in pairs), with the products of terms summed as
+    integers over the lcm of the pairs' denominators."""
+    dens = [p.den * q.den for p, q in pairs]
+    den = lcm(*dens)
     acc: dict[Exponents, int] = {}
     get = acc.get
-    for a, b in factors:
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+    for (p, q), d in zip(pairs, dens):
+        scale = den // d
+        for e1, c1 in p.nums.items():
+            c1 *= scale
+            for e2, c2 in q.nums.items():
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
-    return {e: Fraction(c, den) for e, c in acc.items() if c}
+    return Polynomial._of(variables, {e: c for e, c in acc.items() if c}, den)
 
 
-def _coerce_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _rational(c):
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
 class Polynomial:
-    """Sparse exact polynomial in a fixed ordered variable tuple."""
+    """Sparse exact polynomial in a fixed ordered variable tuple: the
+    integer numerators ``nums`` over the denominator ``den``."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "nums", "den")
 
-    def __init__(self, variables, terms=None):
+    def __new__(cls, variables, terms=None):
         variables = tuple(variables)
-        pairs = []
         n = len(variables)
+        coeffs = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {n}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            coeff = _coerce_coeff(coeff)
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"negative or non-integer exponent in {exps}")
+            coeff = _rational(coeff)
             if coeff:
-                pairs.append((exps, coeff))
+                coeffs.append((exps, coeff))
+        den = lcm(*(c.denominator for _, c in coeffs))
+        return cls._of(variables, _accumulate(
+            (e, c.numerator * (den // c.denominator)) for e, c in coeffs), den)
+
+    @classmethod
+    def _of(cls, variables, nums, den=1) -> "Polynomial":
+        """``nums`` (no zero) over the nonzero ``den``, brought to lowest
+        terms when ``den`` is not 1."""
+        if den != 1:
+            if den < 0:
+                den, nums = -den, {e: -c for e, c in nums.items()}
+            g = gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", _accumulate(pairs))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def _raw(cls, variables, terms) -> "Polynomial":
-        """Internal fast path: ``terms`` must already be canonical."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
-        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, variables) -> "Polynomial":
-        return cls._raw(tuple(variables), {})
+        return cls._of(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, value) -> "Polynomial":
         variables = tuple(variables)
-        value = _coerce_coeff(value)
-        if not value:
-            return cls._raw(variables, {})
-        return cls._raw(variables, {(0,) * len(variables): value})
+        value = _rational(value)
+        nums = {(0,) * len(variables): value.numerator} if value else {}
+        return cls._of(variables, nums, value.denominator)
 
     @classmethod
     def variable(cls, variables, index) -> "Polynomial":
@@ -151,26 +151,28 @@ class Polynomial:
             raise IndexError(f"variable index {index} out of range")
         exps = [0] * len(variables)
         exps[index] = 1
-        return cls._raw(variables, {tuple(exps): Fraction(1)})
+        return cls._of(variables, {tuple(exps): 1})
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The coefficients as ``Fraction``s, by exponent tuple."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.nums), default=None)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.nums.get((0,) * len(self.variables), 0), self.den)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.nums}) <= 1
 
     def _require_same_variables(self, other: "Polynomial"):
         if self.variables != other.variables:
@@ -179,32 +181,34 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         self._require_same_variables(other)
-        return Polynomial._raw(self.variables,
-                               _accumulate(other.terms.items(), self.terms))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        mine = self.nums if a == 1 else {e: c * a for e, c in self.nums.items()}
+        pairs = (other.nums.items() if b == 1 else
+                 ((e, c * b) for e, c in other.nums.items()))
+        return Polynomial._of(self.variables, _accumulate(pairs, mine), den)
+
+    def __add__(self, other):
+        if isinstance(other, Polynomial):
+            return self._plus(other, 1)
+        return NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_variables(other)
-        negated = zip(other.terms, map(neg, other.terms.values()))
-        return Polynomial._raw(self.variables,
-                               _accumulate(negated, self.terms))
+        if isinstance(other, Polynomial):
+            return self._plus(other, -1)
+        return NotImplemented
 
     def __neg__(self):
-        return Polynomial._raw(self.variables,
-                               {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables,
+                              {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_variables(other)
-            den_a, a = _numerators(self.terms)
-            den_b, b = _numerators(other.terms)
-            return Polynomial._raw(self.variables,
-                                   _products([(a, b)], den_a * den_b))
+            return _dot(self.variables, [(self, other)])
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
@@ -215,11 +219,13 @@ class Polynomial:
         return NotImplemented
 
     def scaled(self, scalar) -> "Polynomial":
-        scalar = _coerce_coeff(scalar)
+        scalar = _rational(scalar)
         if not scalar:
-            return Polynomial._raw(self.variables, {})
-        return Polynomial._raw(self.variables,
-                               {e: c * scalar for e, c in self.terms.items()})
+            return Polynomial._of(self.variables, {})
+        a = scalar.numerator
+        return Polynomial._of(self.variables,
+                              {e: c * a for e, c in self.nums.items()},
+                              self.den * scalar.denominator)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -239,91 +245,84 @@ class Polynomial:
     def partial_derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < len(self.variables):
             raise IndexError(f"variable index {index} out of range")
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        nums: dict[Exponents, int] = {}
+        for exps, coeff in self.nums.items():
             e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            terms[tuple(new)] = coeff * e
-        return Polynomial._raw(self.variables, terms)
+            if e:
+                nums[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return Polynomial._of(self.variables, nums, self.den)
 
     def evaluate(self, point) -> Fraction:
-        point = [_coerce_coeff(c) for c in point]
+        point = [_rational(c) for c in point]
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for a, e in zip(point, exps):
-                if e:
-                    value *= a ** e
-            total += value
-        return total
+        return Fraction(sum(c * prod(map(pow, point, exps))
+                            for exps, c in self.nums.items()), self.den)
 
     def translate(self, point) -> "Polynomial":
         """p(x + point): the germ of p recentred so that ``point`` maps to 0.
 
-        Substitutes x_i -> x_i + a_i one variable at a time, each power as
-        the binomial sum x_i^e -> sum(C(e, k) * a_i^(e-k) * x_i^k).
+        Substitutes x_i -> x_i + p_i/q_i one variable at a time, each power
+        as the binomial sum x_i^e -> sum(C(e, k) * (p_i/q_i)^(e-k) * x_i^k)
+        multiplied through by q_i^t, t the top power of x_i.
         """
-        point = [_coerce_coeff(c) for c in point]
+        point = [_rational(c) for c in point]
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
-        terms = self.terms
+        nums, den = self.nums, self.den
         for i, a in enumerate(point):
-            if a:
-                terms = _accumulate(
-                    (exps[:i] + (k,) + exps[i + 1:],
-                     coeff * comb(exps[i], k) * a ** (exps[i] - k))
-                    for exps, coeff in terms.items()
+            if a and nums:
+                p, q = a.numerator, a.denominator
+                t = max(exps[i] for exps in nums)
+                nums = _accumulate(
+                    (exps[:i] + (k,) + exps[i + 1:], coeff * comb(exps[i], k)
+                     * p ** (exps[i] - k) * q ** (t - exps[i] + k))
+                    for exps, coeff in nums.items()
                     for k in range(exps[i] + 1))
-        return Polynomial._raw(self.variables, dict(terms))
+                den *= q ** t
+        return Polynomial._of(self.variables, nums, den)
 
     def specialize_at_one(self, index: int) -> "Polynomial":
         """Set variable ``index`` to 1 and drop it from the variable list."""
         if not 0 <= index < len(self.variables):
             raise IndexError(f"variable index {index} out of range")
         new_vars = self.variables[:index] + self.variables[index + 1:]
-        return Polynomial._raw(new_vars, _accumulate(
+        return Polynomial._of(new_vars, _accumulate(
             (exps[:index] + exps[index + 1:], coeff)
-            for exps, coeff in self.terms.items()))
+            for exps, coeff in self.nums.items()), self.den)
 
     def rename_variables(self, new_variables) -> "Polynomial":
         new_variables = tuple(new_variables)
         if len(new_variables) != len(self.variables):
             raise ValueError("variable count mismatch")
-        return Polynomial._raw(new_variables, dict(self.terms))
+        return Polynomial._of(new_variables, self.nums, self.den)
 
     # -- normalization ------------------------------------------------------
 
     def primitive_factor(self) -> Fraction:
         """Positive c with c*self having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        den, numerators = _numerators(self.terms)
-        return Fraction(den, gcd(*numerators.values()))
+        return Fraction(self.den, gcd(*self.nums.values()) or 1)
 
     # -- comparison / hashing / text ----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         return f"Polynomial({self})"
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=_print_key, reverse=True):
-            coeff = self.terms[exps]
+        for exps in sorted(self.nums, key=_print_key, reverse=True):
+            coeff = self.nums[exps]
             factors = []
             for name, e in zip(self.variables, exps):
                 if e == 1:
@@ -331,7 +330,7 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors)
-            mag = abs(coeff)
+            mag = Fraction(abs(coeff), self.den)
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -346,6 +345,7 @@ class Polynomial:
         return out
 
 
+
 # ---------------------------------------------------------------------------
 # jacobians and minors
 
@@ -358,7 +358,8 @@ def jacobian_minors(polys) -> list[Polynomial]:
 
     The minors grow one row at a time: a minor of rows 0..k expands along
     row k, the i-th chosen column with sign (-1)^(k+i), over the minors of
-    rows 0..k-1 already built, so every smaller minor is computed once.
+    rows 0..k-1 already built, so every smaller minor is computed once,
+    each expansion as one integer sum of products (``_dot``).
     """
     polys = list(polys)
     r = len(polys)
@@ -375,12 +376,10 @@ def jacobian_minors(polys) -> list[Polynomial]:
         row = [polys[k].partial_derivative(j) for j in range(m)]
         grown = {}
         for cols in itertools.combinations(range(m), k + 1):
-            total = Polynomial.zero(variables)
-            for i, c in enumerate(cols):
-                if not row[c].is_zero():
-                    term = row[c] * minors[cols[:i] + cols[i + 1:]]
-                    total = total - term if (k + i) % 2 else total + term
-            grown[cols] = total
+            grown[cols] = _dot(variables, [
+                (-row[c] if (k + i) % 2 else row[c],
+                 minors[cols[:i] + cols[i + 1:]])
+                for i, c in enumerate(cols)])
         minors = grown
     return list(minors.values())
 
@@ -494,15 +493,15 @@ class _Parser:
             self.expect(")", "')'")
             return inner
         if kind == "int":
-            value = Fraction(int(text))
+            num, den = int(text), 1
             if self.peek()[0] == "/":
                 self.advance()
                 den_tok = self.expect("int", "an unsigned integer denominator")
                 den = int(den_tok[1])
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", den_tok[2])
-                value /= den
-            return Polynomial.constant(self.variables, value)
+            return Polynomial._of(self.variables, {
+                (0,) * len(self.variables): num} if num else {}, den)
         if kind == "name":
             if text not in self.index:
                 raise UnknownVariableError(text, offset)
@@ -512,7 +511,7 @@ class _Parser:
                 self.advance()
                 exp_tok = self.expect("int", "an unsigned integer exponent")
                 exps[self.index[text]] = int(exp_tok[1])
-            return Polynomial._raw(self.variables, {tuple(exps): Fraction(1)})
+            return Polynomial._of(self.variables, {tuple(exps): 1})
         if kind == _END:
             raise PolynomialSyntaxError("unexpected end of input", offset)
         raise PolynomialSyntaxError(f"unexpected token {text!r}", offset)

@@ -2,8 +2,10 @@
 parser."""
 
 import itertools
+import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,18 @@ def test_variable_mismatch():
         P("x1") + parse_polynomial("x1", X2)
 
 
+@pytest.mark.parametrize("terms", [
+    {(0.5, 1): 1, (0, 3): 1},  # the x^0.5 factor would vanish from print
+    {(1.0, 2): 1},  # degree() would read 3.0
+    {(-1, 2): 1},
+    {(1, 2, 3): 1},
+])
+def test_constructor_rejects_bad_exponent_tuples(terms):
+    bad = next(iter(terms))
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        Polynomial(("x", "y"), terms)
+
+
 def test_scalar_multiplication():
     assert 3 * P("x1") == P("3*x1")
     assert P("x1") * Fraction(1, 2) == P("1/2*x1")
@@ -210,6 +224,88 @@ def test_directional_derivative_matches_fraction_arithmetic():
             for e1, c1 in f.terms.items() if e1[i]
             for e2, c2 in comp.terms.items())
         assert_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# numerators over one denominator, against Fraction-dict references
+
+def ref_mul(a, b):
+    return fraction_sum((tuple(map(operator.add, e1, e2)), c1 * c2)
+                        for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def ref_translate(a, point):
+    """sum(c * prod((x_i + a_i)^e_i)), each binomial written out."""
+    total = {}
+    for exps, c in a.items():
+        term = {(0,) * len(exps): c}
+        for i, (ai, e) in enumerate(zip(point, exps)):
+            term = ref_mul(term, {tuple(k if j == i else 0
+                                        for j in range(len(exps))):
+                                  math.comb(e, k) * ai ** (e - k)
+                                  for k in range(e + 1)})
+        total = fraction_sum(list(total.items()) + list(term.items()))
+    return total
+
+
+def test_arithmetic_matches_fraction_references():
+    rng = random.Random(40)
+    zero = (0, 0, 0)
+    for _ in range(150):
+        p, q = seeded_polynomial(rng), seeded_polynomial(rng)
+        a, b = p.terms, q.terms
+        assert all(type(c) is Fraction for c in a.values())
+        assert (p + q).terms == fraction_sum(list(a.items()) + list(b.items()))
+        assert (p - q).terms == fraction_sum(
+            list(a.items()) + [(e, -c) for e, c in b.items()])
+        assert (p * q).terms == ref_mul(a, b)
+        for s in (Fraction(-3, 4), 0, Fraction(5, 6), -2, Fraction(7, 1)):
+            assert p.scaled(s).terms == {e: c * s for e, c in a.items() if s}
+        power = {zero: Fraction(1)}
+        for k in range(4):
+            assert (p ** k).terms == power
+            power = ref_mul(power, a)
+        for i in range(3):
+            assert p.partial_derivative(i).terms == fraction_sum(
+                (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                for e, c in a.items() if e[i])
+            assert p.specialize_at_one(i).terms == fraction_sum(
+                (e[:i] + e[i + 1:], c) for e, c in a.items())
+        point = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                      for _ in X3)
+        assert p.translate(point).terms == ref_translate(a, point)
+        assert p.evaluate(point) == sum(
+            c * math.prod(x ** k for x, k in zip(point, e))
+            for e, c in a.items())
+        assert p.constant_term == a.get(zero, 0)
+        # the primitive factor makes coprime integers: 1/gcd of the
+        # coefficients, which is lcm(denominators)/gcd(numerators)
+        scaled = p.scaled(p.primitive_factor()).terms.values()
+        assert all(c.denominator == 1 for c in scaled)
+        assert math.gcd(*(c.numerator for c in scaled)) in (0, 1)
+        assert p.primitive_factor() > 0
+        assert parse_polynomial(str(p), X3) == p
+        assert str(parse_polynomial(str(p), X3)) == str(p)
+
+
+def test_equal_polynomials_are_stored_alike():
+    half_x1 = [P("2/4*x1"), P("1/2*x1"),
+               Polynomial(X3, {(1, 0, 0): Fraction(2, 4)}), P("x1").scaled(Fraction(1, 2)), P("3*x1") * P("1/6"),
+               P("x1 + 2/3*x2") - P("1/2*x1") - P("4/6*x2"),
+               Polynomial(X3, {(1, 0, 0): Fraction(1, 4), (0, 1, 0): 1})
+               + Polynomial(X3, {(1, 0, 0): Fraction(1, 4), (0, 1, 0): -1})]
+    for p in half_x1:
+        assert p == half_x1[0] and hash(p) == hash(half_x1[0])
+        assert p.terms == {(1, 0, 0): Fraction(1, 2)}
+        assert str(p) == "1/2*x1"
+    # cancellation to zero leaves the one zero polynomial
+    zeros = [P("2/3*x1 - 1/5") - P("2/3*x1 - 1/5"), P("1/7*x2").scaled(0),
+             P("3/2*x1") * P("2/3") - P("x1"), P("1/3*x3") + -P("1/3*x3"),
+             P("1/2*x1^2").partial_derivative(1), Polynomial(X3, {})]
+    for z in zeros:
+        assert z.is_zero() and z == Polynomial.zero(X3)
+        assert hash(z) == hash(Polynomial.zero(X3))
+        assert z.terms == {} and str(z) == "0" and z.constant_term == 0
 
 
 # ---------------------------------------------------------------------------
